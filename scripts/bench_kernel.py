@@ -30,6 +30,11 @@ Also measured, with methodology recorded in the JSON:
   path carries no metrics hooks at all, so the metrics-off full-system
   run is gated the same way; per-instrument costs (counter increment,
   suppressed oplog emit) are recorded for honesty.
+* the L2 single-run row ``l2_sms`` — one M13/sms-0.9 run, where DRAM
+  polls dominate, in wall seconds and equivalent kernel
+  events, next to the same run on the legacy per-entry DRAM path
+  (``REPRO_HOTPATH=legacy``); ``--check`` fails above 1.10x the
+  committed equivalent events, like the M7 macro gate.
 
 Usage::
 
@@ -37,8 +42,9 @@ Usage::
     PYTHONPATH=src python scripts/bench_kernel.py --quick    # fewer reps
     PYTHONPATH=src python scripts/bench_kernel.py --check    # CI gate:
         # re-measure (quick) and fail if the headline micro speedup
-        # regressed >30%, or the spans-off full-system path slowed
-        # >5%, vs the committed BENCH_kernel.json
+        # regressed >30%, the spans-off full-system path slowed
+        # >5%, or the M7 / M13-sms-0.9 runs slowed >10%, vs the
+        # committed BENCH_kernel.json
 
 The headline number (``micro_speedup_geomean``) is the geometric mean of
 the per-scenario old/new ns-per-event ratios; acceptance is >= 1.5x.
@@ -49,6 +55,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
 import random
 import statistics
@@ -323,6 +330,79 @@ def bench_macro_components(micro_new_ns: float, reps: int) -> dict:
             "shares": shares}
 
 
+def bench_sms(micro_new_ns: float, reps: int) -> dict:
+    """L2 row: one M13/sms-0.9 run at smoke scale (seed 1).
+
+    SMS keeps the DRAM controller polling every command cycle while its
+    batches wait, so DRAM polls take a larger share of this run than of
+    any other in the figure suite (SMS-0.9 is the Figs. 12-14 baseline
+    scheduler).  The gate value is the
+    unprofiled best-of-N wall time in equivalent kernel events, as for
+    M7.  One run on the legacy per-entry DRAM path (the reference the
+    SMS fast path is held bit-identical to) is timed alongside, so the
+    row carries the fast path's speedup measured on the same host.
+    """
+    from repro import hotpath
+    from repro.config import default_config
+    from repro.mixes import mix as mix_by_name
+    from repro.policies import make_policy
+    from repro.sim.system import HeterogeneousSystem
+
+    def once():
+        m = mix_by_name("M13")
+        cfg = default_config(scale="smoke", n_cpus=m.n_cpus, seed=1)
+        system = HeterogeneousSystem(cfg, m, make_policy("sms-0.9"))
+        t0 = time.perf_counter()
+        system.run()
+        return time.perf_counter() - t0
+
+    wall = min(once() for _ in range(reps))
+    equiv = wall * 1e9 / micro_new_ns
+    with hotpath.batching(False):
+        legacy = once()
+    print(f"  M13 sms-0.9 smoke  wall {wall:6.3f}s = {equiv:,.0f} equiv "
+          f"events   legacy path {legacy:6.3f}s   speedup "
+          f"{legacy / wall:.2f}x")
+    return {"layer": "L2", "mix": "M13", "policy": "sms-0.9",
+            "scale": "smoke", "seed": 1,
+            "wall_seconds": round(wall, 3),
+            "equivalent_events": round(equiv),
+            "legacy_wall_seconds": round(legacy, 3),
+            "speedup_vs_legacy": round(legacy / wall, 2)}
+
+
+def check_sms(result: dict, baseline: dict) -> bool:
+    """CI gate for the L2 M13/sms-0.9 row: equivalent events within
+    1.10x of the committed baseline (absent baseline row: pass)."""
+    base = baseline.get("l2_sms")
+    if not base:
+        return True
+    now_ev = result["l2_sms"]["equivalent_events"]
+    ceiling = 1.10 * base["equivalent_events"]
+    ok = now_ev <= ceiling
+    print(f"check[l2_sms]: M13 sms-0.9 {now_ev:,} equiv events vs "
+          f"baseline {base['equivalent_events']:,} (ceiling "
+          f"{ceiling:,.0f}) -> {'OK' if ok else 'REGRESSION'}")
+    return ok
+
+
+def _machine() -> dict:
+    """The host the numbers were taken on."""
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"python": platform.python_version(),
+            "platform": platform.platform(),
+            "cpu": cpu,
+            "cpu_count": os.cpu_count()}
+
+
 def bench_service(reps: int) -> dict:
     """Cold ``run_many`` invocation vs warm daemon submission.
 
@@ -464,6 +544,9 @@ def run_bench(quick: bool) -> dict:
     print("macro per-component breakdown (M7 smoke):")
     components = bench_macro_components(
         micro["hetero_dense"]["new_ns_per_event"], 3)
+    print("L2 single run (M13 sms-0.9 smoke, batched vs legacy DRAM "
+          "path):")
+    sms = bench_sms(micro["hetero_dense"]["new_ns_per_event"], 3)
     print("service submission (cold run_many vs warm daemon, cached):")
     service = bench_service(1 if quick else 2)
     geomean = round(math.exp(statistics.fmean(
@@ -479,8 +562,7 @@ def run_bench(quick: bool) -> dict:
             f"{n_events} events per scenario, N={reps}. Macro rows run "
             "the full system at smoke scale, where component callbacks "
             "dominate and the kernel is ~15-20% of wall time."),
-        "machine": {"python": platform.python_version(),
-                    "platform": platform.platform()},
+        "machine": _machine(),
         "events_per_scenario": n_events,
         "reps": reps,
         "micro": micro,
@@ -489,6 +571,7 @@ def run_bench(quick: bool) -> dict:
         "profiling": prof,
         "macro_full_system": macro,
         "macro_components": components,
+        "l2_sms": sms,
         "spans_off": spans,
         "metrics_off": metrics_off,
         "service_submission": service,
@@ -548,6 +631,7 @@ def main(argv=None) -> int:
                   f"{'OK' if metrics_ok else 'REGRESSION'}")
 
         ok = check_macro_components(result, baseline) and ok
+        ok = check_sms(result, baseline) and ok
 
         # the serving gate is self-contained (cold and warm measured in
         # the same invocation), so no baseline entry is needed

@@ -25,12 +25,21 @@ visible.  (A sharper hint that skipped the parked-writes re-polls was
 tried and measurably diverged the simulation; see
 :meth:`MemoryController._batched_poll`.)  The issue sequence, and
 therefore every simulated result, is unchanged; only the per-poll cost
-drops from O(queue) to O(banks).  The fast
-path is enabled only under the preconditions that make the equivalence
-provable (a queue-transparent FR-FCFS-family scheduler and tFAW
-disabled — the default configuration); anything else takes the legacy
-path.  Bit-identity of the two paths is enforced by
-``tests/sim/test_hotpath_golden.py``.
+drops from O(queue) to O(banks).
+
+SMS has its own twin of the fast path.  Its ``select`` is not pure (it
+releases batches and draws from its RNG), so it still runs on every
+poll; what changes is the work around it.  Every SMS read sits in a
+scheduler batch and ``read_q`` stays empty, so ``queued_w`` answers the
+write questions and the scheduler's live ``held`` count replaces the
+per-batch ``pending_reads`` walk (:meth:`MemoryController._sms_candidates`,
+:meth:`MemoryController._sms_retry_hint`).
+
+Each fast path is enabled only under the preconditions that make the
+equivalence provable (tFAW disabled — the default configuration — and
+either a queue-transparent FR-FCFS-family scheduler or exactly
+``SmsScheduler``); anything else takes the legacy path.  Bit-identity
+of the paths is enforced by ``tests/sim/test_hotpath_golden.py``.
 """
 
 from __future__ import annotations
@@ -137,12 +146,16 @@ class MemoryController:
         self._drain_hi = math.ceil(cfg.write_queue * cfg.write_drain_hi)
         self._drain_lo = math.floor(cfg.write_queue * cfg.write_drain_lo)
 
+        batchable = hotpath.use_batching() and self.timing.t_faw <= 0
         #: batched issue path (see module docstring): per-bank counter
         #: scans replace the per-entry queue walks.  Decided once at
         #: construction — the preconditions cannot change mid-run.
-        self._fast = (hotpath.use_batching()
-                      and self.timing.t_faw <= 0
+        self._fast = (batchable
                       and type(self.scheduler) in _BATCH_SAFE_SCHEDULERS)
+        #: the SMS twin (:meth:`_sms_candidates`, :meth:`_sms_retry_hint`)
+        #: for the exact ``SmsScheduler`` type, whose ``select`` still
+        #: runs every poll (it releases batches and draws from its RNG)
+        self._fast_sms = batchable and type(self.scheduler) is SmsScheduler
 
         self.stats = StatSet(f"mc{channel_id}")
         s = self.stats
@@ -273,18 +286,15 @@ class MemoryController:
                     now = self.sim.now
                     self._kick(hint if hint > now else now + 1)
                 return
+        elif self._fast_sms:
+            candidates = self._sms_candidates()
         else:
-            candidates = []
-            if self._draining:
-                candidates.extend(self._issuable(self.write_q))
-            candidates.extend(self._issuable(self.read_q))
-            if not candidates and self.write_q \
-                    and self._pending_reads() == 0:
-                candidates.extend(self._issuable(self.write_q))
+            candidates = self._scan_candidates()
 
         sel = self.scheduler.select(self, candidates)
         if sel is None:
-            hint = self._retry_hint()
+            hint = (self._sms_retry_hint() if self._fast_sms
+                    else self._retry_hint())
             if hint is not None:
                 self._kick(max(hint, self.sim.now + 1))
             return
@@ -297,6 +307,19 @@ class MemoryController:
                 pass                   # SMS batch entries bypass read_q
         self._service(sel)
         self._kick(self.sim.now + DRAM_CYCLE_TICKS)
+
+    def _scan_candidates(self) -> list[PendingReq]:
+        """The per-entry candidate scan: issuable writes while
+        draining, issuable reads, and issuable writes once no read is
+        pending.  The legacy path, and the reference the batched ones
+        are held to."""
+        candidates = []
+        if self._draining:
+            candidates.extend(self._issuable(self.write_q))
+        candidates.extend(self._issuable(self.read_q))
+        if not candidates and self.write_q and self._pending_reads() == 0:
+            candidates.extend(self._issuable(self.write_q))
+        return candidates
 
     def _batched_poll(self) -> tuple[Optional[list[PendingReq]],
                                      Optional[int]]:
@@ -363,6 +386,65 @@ class MemoryController:
                 return out, None
         return None, best
 
+    def _sms_candidates(self) -> list[PendingReq]:
+        """The legacy candidate list under SMS, from counters.
+
+        SMS absorbs every read into a batch at enqueue, so ``read_q``
+        stays empty and the only candidates ``select`` ever receives are
+        the issuable writes — while draining, or once the scheduler
+        holds no read.  ``queued_w`` mirrors ``write_q`` per bank, so
+        "some ready bank has ``queued_w``" is exactly "the per-entry
+        scan finds a write"; the common no-op poll (reads held, no
+        drain) returns without touching a bank.
+        """
+        if self.scheduler.held and not self._draining:
+            return []
+        now = self.sim.now
+        banks = self.banks
+        for b in banks:
+            if b.queued_w and b.ready_at <= now:
+                return [e for e in self.write_q
+                        if banks[e.bank].ready_at <= now]
+        return []
+
+    def _sms_retry_hint(self) -> Optional[int]:
+        """:meth:`_retry_hint` under SMS in O(banks): the min of every
+        ``queued_w`` bank's ``ready_at``, the current batch's head bank
+        and the oldest forming batch's age-out; ``now + 1`` when reads
+        are held but none of those exists; ``None`` with nothing
+        queued.  That is the value of the per-entry walk, so the poll
+        cadence, and with it every SMS RNG draw, is unchanged.
+
+        Preconditions (``self._fast_sms``): tFAW disabled and the exact
+        ``SmsScheduler`` type, whose :attr:`~SmsScheduler.held` stands
+        in for the per-batch ``pending_reads`` walk.
+        """
+        sched = self.scheduler
+        if not sched.held and not self.write_q:
+            return None               # nothing to issue: go idle
+        banks = self.banks
+        hint = None
+        for b in banks:
+            if b.queued_w:
+                r = b.ready_at
+                if hint is None or r < hint:
+                    hint = r
+        cur = sched._current
+        if cur is not None and cur.entries:
+            r = banks[cur.entries[0].bank].ready_at
+            if hint is None or r < hint:
+                hint = r
+        if sched._forming:
+            # batches open in time order and a re-opened source moves
+            # to the back, so the first forming batch is the oldest
+            oldest = next(iter(sched._forming.values()))
+            age = oldest.opened_at + sched.age_limit
+            if hint is None or age < hint:
+                hint = age
+        if hint is None and sched.held:
+            hint = self.sim.now + 1
+        return hint
+
     def _retry_hint(self) -> Optional[int]:
         if self.queue_depth() == 0:
             return None               # nothing to issue: go idle
@@ -422,23 +504,35 @@ class MemoryController:
         enqueue/service time) must equal ``reads + writes`` — a mismatch
         means a transaction was lost or double-serviced.  ``oldest_age``
         covers *reads* only (writes may legitimately sit below the drain
-        watermark for a long time).  Read-only.
+        watermark for a long time).
+
+        Under SMS, ``sms_walked`` counts the reads in the scheduler's
+        batches entry by entry and ``sms_held`` is its live
+        :attr:`~SmsScheduler.held` count, which the SMS fast path trusts
+        instead of walking; the two must agree.  Both are ``None`` for
+        other schedulers.  Read-only.
         """
         now = self.sim.now
         oldest = min((e.arrival for e in self.read_q), default=None)
+        walked = held = None
         if isinstance(self.scheduler, SmsScheduler):
             sched = self.scheduler
             batches = list(sched._ready) + list(sched._forming.values())
             if sched._current is not None:
                 batches.append(sched._current)
+            walked = 0
             for b in batches:
+                walked += len(b.entries)
                 for e in b.entries:
                     if oldest is None or e.arrival < oldest:
                         oldest = e.arrival
-        return {"reads": self._pending_reads(),
+            held = sched.held
+        return {"reads": len(self.read_q) + (walked or 0),
                 "writes": len(self.write_q),
                 "bank_queued": sum(b.queued for b in self.banks),
-                "oldest_age": None if oldest is None else now - oldest}
+                "oldest_age": None if oldest is None else now - oldest,
+                "sms_walked": walked,
+                "sms_held": held}
 
     def bytes_served(self, side: str, write: bool) -> int:
         return self._served[(side, write)].value * self.line_bytes

@@ -161,6 +161,11 @@ class SmsScheduler:
         self._ready: list[_Batch] = []
         self._current: Optional[_Batch] = None
         self._rr_next = 0
+        #: reads held in batches (forming, released and current) — the
+        #: O(1) twin of :meth:`pending_reads`, kept at the two sites
+        #: that add or remove batch entries (``on_enqueue``, ``select``)
+        #: and cross-checked against the walk by the invariant monitor
+        self.held = 0
         self.now_fn = lambda: 0       # wired by the controller
 
     # -- stage 1: batch formation ------------------------------------------
@@ -181,6 +186,7 @@ class SmsScheduler:
             batch = self._forming[src] = _Batch(src, now)
         batch.entries.append(entry)
         batch.last_row = rowkey
+        self.held += 1
         return True
 
     def _release(self, src: str) -> None:
@@ -224,17 +230,22 @@ class SmsScheduler:
 
     def select(self, ctrl, candidates):
         # writes (drain path) still arrive via candidates
-        writes = [e for e in candidates if e.is_write]
-        if writes:
-            return min(writes, key=lambda e: e.arrival)
-        if self._current is None or not self._current.entries:
-            self._current = self._next_batch()
-        if self._current is None:
-            return None
+        if candidates:
+            writes = [e for e in candidates if e.is_write]
+            if writes:
+                return min(writes, key=lambda e: e.arrival)
+        cur = self._current
+        if cur is None or not cur.entries:
+            cur = self._current = self._next_batch()
+            if cur is None:
+                return None
         # serve the current batch in order, but only if its bank is ready
-        entry = self._current.entries[0]
-        if ctrl.banks[entry.bank].ready_at <= ctrl.sim.now:
-            self._current.entries.pop(0)
+        banks = ctrl.banks
+        now = ctrl.sim.now
+        entry = cur.entries[0]
+        if banks[entry.bank].ready_at <= now:
+            cur.entries.pop(0)
+            self.held -= 1
             return entry
         # head-of-line blocked: the current batch's bank is busy, so
         # fall through to the oldest released batch whose head targets
@@ -242,14 +253,17 @@ class SmsScheduler:
         # resumes once its bank frees up)
         for batch in self._ready:
             e = batch.entries[0]
-            if ctrl.banks[e.bank].ready_at <= ctrl.sim.now:
+            if banks[e.bank].ready_at <= now:
                 batch.entries.pop(0)
+                self.held -= 1
                 if not batch.entries:
                     self._ready.remove(batch)
                 return e
         return None
 
     def pending_reads(self) -> int:
+        """Reads held in batches, counted entry by entry (the
+        reference :attr:`held` must always equal)."""
         n = sum(len(b.entries) for b in self._ready)
         n += sum(len(b.entries) for b in self._forming.values())
         if self._current is not None:

@@ -16,6 +16,7 @@ mshr                   LLC MSHR occupancy <= capacity; no entry outlives
                        the age bound; input-queue waiters exist only
                        while the file is full
 dram                   per-bank queued accounting matches the queues;
+                       SMS's live read count matches its batches;
                        read-queue population <= LLC MSHR capacity (every
                        DRAM read is an LLC fill); no transaction ages out
 gpu_occupancy          0 <= outstanding <= mshr_entries; an "mshr" stall
@@ -313,6 +314,11 @@ class InvariantMonitor:
                            f"({state['bank_queued']}) disagrees with its "
                            f"queues ({state['reads']}r+"
                            f"{state['writes']}w)")
+            if state["sms_held"] != state["sms_walked"]:
+                self._fail("dram",
+                           f"mc{mc.channel_id} SMS live read count "
+                           f"({state['sms_held']}) disagrees with its "
+                           f"batches ({state['sms_walked']} entries)")
             age = state["oldest_age"]
             if age is not None and age > self.max_inflight_age:
                 self._fail("dram",

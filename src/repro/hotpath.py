@@ -13,6 +13,12 @@ the switch exists for exactly two reasons:
 * ``REPRO_HOTPATH=legacy`` gives one escape hatch if a future component
   interacts badly with the batched paths.
 
+The DRAM controller's batched path has two twins, one for the
+FR-FCFS-family schedulers and one for ``SmsScheduler`` (counters stand
+in for its per-batch walks); each engages only where its equivalence
+is provable (tFAW disabled, an exact scheduler type), so another
+scheduler or tFAW takes the legacy path whatever the switch says.
+
 Components sample :func:`use_batching` **at construction time** (the
 choice is per-system, not per-call), so flipping the switch never
 affects a system that is already running.  The switch deliberately

@@ -69,9 +69,10 @@ def test_sms_batches_by_row_and_source():
     for i in range(6):
         mc.enqueue(read(i * 128, "gpu", done, f"g{i}"))
     # all six are row-local: first batch closes at cap 4
-    assert sms.pending_reads() == 6
+    assert sms.pending_reads() == sms.held == 6
     sim.run()
     assert len(done) == 6
+    assert sms.pending_reads() == sms.held == 0
 
 
 def test_sms_row_change_closes_batch():
@@ -95,8 +96,12 @@ def test_sms_shortest_batch_first():
     short_b = _Batch("cpu0", opened_at=5)
     short_b.entries = ["c1"]
     sms._ready = [long_b, short_b]
+    sms.held = 4                          # the counter matches by hand
     assert sms._next_batch() is short_b   # shortest batch served first
     assert sms._next_batch() is long_b
+    # picking a batch serves none of its reads: only select's pops
+    # move the counter
+    assert sms.held == 4
 
 
 def test_sms_zero_sjf_alternates_classes():
@@ -141,19 +146,23 @@ def test_sms_head_of_line_falls_through_to_ready_batch():
     ready_entry = SimpleNamespace(bank=1, is_write=False)
     ready.entries = [ready_entry]
     sms._ready = [blocked, ready]
+    sms.held = 3                          # the counter matches by hand
 
     picked = sms.select(ctrl, [])
     assert picked is ready_entry          # bypassed the blocked head
     assert ready not in sms._ready        # emptied batch is retired
     assert sms._current is cur            # current batch keeps its slot
     assert cur.entries == [cur_entry]
+    assert sms.held == sms.pending_reads() == 2
 
     # every serviceable head blocked: nothing to issue this cycle
     assert sms.select(ctrl, []) is None
+    assert sms.held == 2
 
     # once the bank frees up, the current batch resumes in order
     banks[0].ready_at = 0
     assert sms.select(ctrl, []) is cur_entry
+    assert sms.held == sms.pending_reads() == 1
 
 
 def test_starvation_guard_in_boost_mode():

@@ -20,7 +20,7 @@ def _run(policy: str, monitor=None):
     return run_system(cfg, m, make_policy(policy), monitor=monitor)
 
 
-@pytest.mark.parametrize("policy", ["baseline", "throtcpuprio"])
+@pytest.mark.parametrize("policy", ["baseline", "throtcpuprio", "sms-0.9"])
 def test_monitored_run_is_bit_identical(policy):
     clean = _run(policy)
     monitor = InvariantMonitor(interval_ticks=1024)

@@ -9,6 +9,7 @@ from repro.guard import InvariantMonitor, InvariantViolation
 from repro.mixes import mix
 from repro.policies import make_policy
 from repro.sim.runner import run_system
+from repro.sim.system import HeterogeneousSystem
 
 
 def _run_faulted(plan, monitor):
@@ -51,6 +52,27 @@ def test_starved_core_trips_liveness_watchdog():
     with pytest.raises(InvariantViolation) as exc:
         _run_faulted(plan, monitor)
     assert exc.value.check in ("liveness", "deadlock")
+
+
+def test_desynced_sms_read_count_trips_dram_check():
+    """The SMS fast path trusts ``SmsScheduler.held`` instead of
+    walking the batches; the monitor's walk must catch a counter that
+    drifted from them."""
+    m = mix("W8")
+    cfg = default_config(scale="smoke", n_cpus=m.n_cpus, seed=1)
+    monitor = InvariantMonitor(interval_ticks=1024)
+    system = HeterogeneousSystem(cfg, m, make_policy("sms-0.9"),
+                                 monitor=monitor)
+    sms = system.dram.controllers[0].scheduler
+
+    def desync():
+        sms.held += 1
+
+    system.sim.at(5000, desync)
+    with pytest.raises(InvariantViolation) as exc:
+        system.run()
+    assert exc.value.check == "dram"
+    assert "SMS live read count" in exc.value.message
 
 
 def test_violation_carries_diagnostic_dump():

@@ -13,9 +13,9 @@ its Fig. 8.
 import argparse
 
 from repro.config import default_config
-from repro.core.frpu import Phase
 from repro.mixes import Mix
 from repro.policies import make_policy
+from repro.predict.rtp import Phase
 from repro.sim.system import HeterogeneousSystem
 
 

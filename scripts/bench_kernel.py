@@ -26,10 +26,6 @@ Also measured, with methodology recorded in the JSON:
   by the same invocation's micro ns/event, so it compares machine-
   independent "equivalent kernel events" against the committed
   baseline; ``--check`` fails on >5% regression.
-* operational-metrics overhead (``metrics_off``) — the simulation fast
-  path carries no metrics hooks at all, so the metrics-off full-system
-  run is gated the same way; per-instrument costs (counter increment,
-  suppressed oplog emit) are recorded for honesty.
 * the L2 single-run row ``l2_sms`` — one M13/sms-0.9 run, where DRAM
   polls dominate, in wall seconds and equivalent kernel
   events, next to the same run on the legacy per-entry DRAM path
@@ -237,56 +233,6 @@ def bench_spans(micro_new_ns: float, reps: int) -> dict:
             "off_equivalent_events": round(norm)}
 
 
-def bench_metrics(micro_new_ns: float, reps: int) -> dict:
-    """Operational-metrics overhead on the full system (smoke, W8).
-
-    ``off`` is the default path: the simulation loop carries no metrics
-    hooks at all — the registry exists but nothing in the hot path
-    touches it, and the unconfigured oplog is a disabled sentinel.  The
-    gate pins that claim the same way ``spans_off`` does: off wall time
-    is normalised by the same invocation's micro ns/event into
-    machine-independent equivalent kernel events, and ``--check`` fails
-    on >5% regression vs the committed baseline.  Also reported (not
-    gated): the cost of one counter increment and of one suppressed
-    oplog emit, so instrument costs stay visible as the stack grows.
-    """
-    from repro import metrics
-    from repro.config import default_config
-    from repro.mixes import mix as mix_by_name
-    from repro.sim.system import HeterogeneousSystem
-
-    def once():
-        m = mix_by_name("W8")
-        cfg = default_config(scale="smoke", n_cpus=m.n_cpus, seed=1)
-        system = HeterogeneousSystem(cfg, m)
-        t0 = time.perf_counter()
-        system.run()
-        return time.perf_counter() - t0
-
-    off = min(once() for _ in range(reps))
-    norm = off * 1e9 / micro_new_ns
-
-    n = 200_000
-    reg = metrics.MetricsRegistry()
-    child = reg.counter("bench_total").labels()
-    t0 = time.perf_counter()
-    for _ in range(n):
-        child.inc()
-    inc_ns = (time.perf_counter() - t0) * 1e9 / n
-    sink = metrics.oplog()              # the disabled sentinel
-    t0 = time.perf_counter()
-    for _ in range(n):
-        sink.emit("bench")
-    emit_ns = (time.perf_counter() - t0) * 1e9 / n
-
-    print(f"  metrics off {off:6.3f}s = {norm:,.0f} equiv events   "
-          f"counter.inc {inc_ns:.0f} ns   disabled emit {emit_ns:.0f} ns")
-    return {"off_seconds": round(off, 3),
-            "off_equivalent_events": round(norm),
-            "counter_inc_ns": round(inc_ns, 1),
-            "disabled_emit_ns": round(emit_ns, 1)}
-
-
 def bench_macro_components(micro_new_ns: float, reps: int) -> dict:
     """Per-component macro breakdown of an M7 full-system run.
 
@@ -403,64 +349,6 @@ def _machine() -> dict:
             "cpu_count": os.cpu_count()}
 
 
-def bench_service(reps: int) -> dict:
-    """Cold ``run_many`` invocation vs warm daemon submission.
-
-    The serving claim: once a daemon holds a spec's result, submitting
-    that spec again costs a socket round-trip plus a cache lookup — no
-    interpreter start, no worker spawn, no simulation.  ``cold`` times a
-    fresh ``run_many`` call against an empty store (each rep gets a new
-    store, so every rep truly simulates); ``warm`` times client
-    submissions of the same specs against a daemon whose cache already
-    holds them.  The gate asserts warm is >= 10x faster *and* that the
-    daemon executed zero simulations across the repeated submissions
-    (its cache-hit counter accounts for every job).
-    """
-    import tempfile
-
-    from repro.exec import ResultCache, run_many, standalone_cpu_spec
-    from repro.service import ServiceClient, start_daemon_thread
-
-    specs = [standalone_cpu_spec(b, scale="smoke") for b in (403, 429)]
-
-    def cold_once() -> float:
-        store = ResultCache(root=tempfile.mkdtemp(prefix="bench-cold-"))
-        t0 = time.perf_counter()
-        run_many(specs, cache=store, progress=lambda *a: None)
-        return time.perf_counter() - t0
-
-    cold = min(cold_once() for _ in range(reps))
-
-    sock = str(Path(tempfile.mkdtemp(prefix="bench-svc-")) / "svc.sock")
-    cache = ResultCache(root=tempfile.mkdtemp(prefix="bench-warm-"))
-    with start_daemon_thread(socket_path=sock, workers=2,
-                             cache=cache) as handle:
-        client = ServiceClient(sock, client_id="bench")
-        client.submit(specs)                      # populate the store
-        executed_before = handle.daemon.jobs_executed
-        warm = min(min(_timed(client.submit, specs) for _ in range(5))
-                   for _ in range(reps))
-        repeat_executed = handle.daemon.jobs_executed - executed_before
-        hits = handle.daemon.status()["jobs"]["cache_hits"]
-
-    speedup = cold / warm
-    print(f"  cold run_many {cold:6.3f}s   warm submit {warm * 1e3:7.2f}ms"
-          f"   speedup {speedup:.0f}x   repeat sims {repeat_executed} "
-          f"(cache hits {hits})")
-    return {"specs": [s.label for s in specs],
-            "cold_run_many_seconds": round(cold, 4),
-            "warm_submit_seconds": round(warm, 5),
-            "speedup": round(speedup, 1),
-            "repeat_executed": repeat_executed,
-            "cache_hits": hits}
-
-
-def _timed(fn, *args) -> float:
-    t0 = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - t0
-
-
 def _baseline_macro_equiv(baseline: dict) -> float | None:
     """The committed baseline's M7 macro cost in equivalent events.
 
@@ -538,17 +426,12 @@ def run_bench(quick: bool) -> dict:
     print("span tracing (full system, W8 smoke):")
     spans = bench_spans(micro["hetero_dense"]["new_ns_per_event"],
                         max(reps, 5))
-    print("operational metrics (full system, W8 smoke, metrics off):")
-    metrics_off = bench_metrics(
-        micro["hetero_dense"]["new_ns_per_event"], max(reps, 5))
     print("macro per-component breakdown (M7 smoke):")
     components = bench_macro_components(
         micro["hetero_dense"]["new_ns_per_event"], 3)
     print("L2 single run (M13 sms-0.9 smoke, batched vs legacy DRAM "
           "path):")
     sms = bench_sms(micro["hetero_dense"]["new_ns_per_event"], 3)
-    print("service submission (cold run_many vs warm daemon, cached):")
-    service = bench_service(1 if quick else 2)
     geomean = round(math.exp(statistics.fmean(
         math.log(s["speedup"]) for s in micro.values())), 2)
     print(f"headline micro speedup (geomean): {geomean}x")
@@ -573,8 +456,6 @@ def run_bench(quick: bool) -> dict:
         "macro_components": components,
         "l2_sms": sms,
         "spans_off": spans,
-        "metrics_off": metrics_off,
-        "service_submission": service,
     }
 
 
@@ -619,29 +500,8 @@ def main(argv=None) -> int:
                   f"vs baseline {base_ev:,} (ceiling {ceiling:,.0f}) -> "
                   f"{'OK' if spans_ok else 'REGRESSION'}")
 
-        base_metrics = baseline.get("metrics_off")
-        if base_metrics:
-            base_ev = base_metrics["off_equivalent_events"]
-            now_ev = result["metrics_off"]["off_equivalent_events"]
-            ceiling = 1.05 * base_ev
-            metrics_ok = now_ev <= ceiling
-            ok = ok and metrics_ok
-            print(f"check[metrics_off]: measured {now_ev:,} equiv events "
-                  f"vs baseline {base_ev:,} (ceiling {ceiling:,.0f}) -> "
-                  f"{'OK' if metrics_ok else 'REGRESSION'}")
-
         ok = check_macro_components(result, baseline) and ok
         ok = check_sms(result, baseline) and ok
-
-        # the serving gate is self-contained (cold and warm measured in
-        # the same invocation), so no baseline entry is needed
-        svc = result["service_submission"]
-        svc_ok = svc["speedup"] >= 10.0 and svc["repeat_executed"] == 0
-        ok = ok and svc_ok
-        print(f"check[service]: warm submit {svc['speedup']}x faster "
-              f"than cold run_many (floor 10x), {svc['repeat_executed']} "
-              f"sims on repeat (must be 0) -> "
-              f"{'OK' if svc_ok else 'REGRESSION'}")
 
         out = Path(args.out) if args.out else None
         if out:

@@ -37,9 +37,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_FILES = ["README.md", "DESIGN.md", "EXPERIMENTS.md",
                  "ROADMAP.md", "docs/api.md", "docs/architecture.md",
                  "docs/calibration.md", "docs/latency.md",
-                 "docs/observability.md", "docs/policies.md",
-                 "docs/predictors.md", "docs/robustness.md",
-                 "docs/service.md", "docs/telemetry.md"]
+                 "docs/policies.md", "docs/predictors.md",
+                 "docs/robustness.md", "docs/telemetry.md"]
 
 LINK_RE = re.compile(r"(?<!\!)\[[^][]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")

@@ -20,17 +20,12 @@ Examples::
     python -m repro cache stats      # store-wide hit/miss counters
     python -m repro cache prune --max-size 512   # LRU eviction (MB)
     python -m repro cache --clear
-    python -m repro serve --workers 4            # simulation service
-    python -m repro serve --log-file ops.jsonl --log-level debug
-    python -m repro top                          # live daemon dashboard
-    python -m repro top --once                   # one frame (scripts)
-    python -m repro run --mix M7 --remote        # route via the daemon
-    python -m repro compare --mix M7 --remote .repro_service.sock
 
 Independent runs route through :mod:`repro.exec`: results persist in the
 on-disk cache (``.repro_cache/`` by default) and ``--jobs N`` (or the
 ``REPRO_JOBS`` environment variable) fans cache misses across N worker
-processes.
+processes.  Each command folds its cache hit/miss/store counts into the
+store's ``stats.json`` when it returns (``cache stats`` prints them).
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ import time
 from repro import (MIXES_M, MIXES_W, POLICY_NAMES, mix, run_mix,
                    standalone_cpu, standalone_gpu, weighted_speedup_for)
 from repro.cpu.spec import SPEC_PROFILES
+from repro.exec import shared_cache
 from repro.gpu.workloads import GAME_ORDER, workload_for
 
 
@@ -77,39 +73,8 @@ def _print_telemetry(tel, path: str) -> None:
     print(f"  telemetry: {tel.count()} records -> {path}  ({counts})")
 
 
-def _remote_address(args):
-    """``--remote [ADDR]``: explicit address, or the ``REPRO_SERVICE``
-    env / default socket when given bare.  ``None`` = run locally."""
-    if getattr(args, "remote", None) is None:
-        return None
-    from repro.service import default_address
-    return args.remote or default_address()
-
-
 def cmd_run(args) -> int:
     t0 = time.time()
-    address = _remote_address(args)
-    if address is not None:
-        if args.profile or args.telemetry or args.trace_spans \
-                or args.guard:
-            print("--remote runs through the daemon's cache; "
-                  "--profile/--telemetry/--trace-spans/--guard need a "
-                  "local run", file=sys.stderr)
-            return 2
-        from repro.exec import mix_spec
-        from repro.service import remote_run_many
-        out = remote_run_many([mix_spec(args.mix, args.policy,
-                                        args.scale, args.seed,
-                                        predictor=args.predictor)],
-                              address=address,
-                              fallback=args.remote_fallback)[0]
-        if not out.ok:
-            print(f"remote run failed: {out.error}", file=sys.stderr)
-            return 1
-        _print_result(out.result, args.scale)
-        print(f"  served from: {out.source} (daemon at {address})")
-        print(f"  wall time: {time.time()-t0:.1f}s")
-        return 0
     if args.profile:
         from repro.prof import profile_mix
         r, prof = profile_mix(args.mix, args.policy, scale=args.scale,
@@ -221,14 +186,7 @@ def cmd_compare(args) -> int:
     policies = args.policies.split(",")
     specs = [mix_spec(args.mix, pol, args.scale, args.seed)
              for pol in policies]
-    address = _remote_address(args)
-    if address is not None:
-        from repro.service import remote_run_many
-        outcomes = remote_run_many(specs, address=address,
-                                   progress=_progress,
-                                   fallback=args.remote_fallback)
-    else:
-        outcomes = run_many(specs, progress=_progress)
+    outcomes = run_many(specs, progress=_progress)
     base_ws = None
     failed = 0
     print(f"{'policy':14s} {'GPU FPS':>8s} {'CPU WS':>8s} {'vs base':>8s}")
@@ -256,19 +214,9 @@ def cmd_compare_predictors(args) -> int:
     mixes = args.mixes.split(",")
     predictors = tuple(PREDICTORS) if args.predictors == "all" \
         else tuple(args.predictors.split(","))
-    executor = None
-    address = _remote_address(args)
-    if address is not None:
-        from repro.service import remote_run_many
-
-        def executor(specs):
-            return remote_run_many(specs, address=address,
-                                   progress=_progress,
-                                   fallback=args.remote_fallback)
     cmp = compare_predictors(mixes=mixes, predictors=predictors,
                              scale=args.scale, seed=args.seed,
-                             policy=args.policy, progress=_progress,
-                             executor=executor)
+                             policy=args.policy, progress=_progress)
     print(cmp.format())
     print(f"wall time: {time.time()-t0:.1f}s")
     return 0
@@ -346,7 +294,6 @@ def cmd_cache(args) -> int:
               f"from {os.path.abspath(c.root)}")
         print(f"store now: {left} entries ({left_size / 1e6:.1f} MB), "
               f"cap {args.max_size:.1f} MB")
-        c.persist_stats()
         return 0
     if args.action == "stats":
         files, size = c.disk_usage()
@@ -370,57 +317,11 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    """Run the simulation service daemon (see docs/service.md)."""
-    from repro import metrics as metrics_mod
-    from repro.service import ServiceDaemon
-    from repro.service.scheduler import AdmissionController
-    # structured JSONL oplog: stderr unless --log-file; forked pool
-    # workers inherit the sink (docs/observability.md)
-    metrics_mod.configure(path=args.log_file, level=args.log_level)
-    daemon = ServiceDaemon(
-        socket_path=args.socket,
-        http_port=args.http_port,
-        workers=args.workers,
-        timeout=args.timeout,
-        retries=args.retries,
-        admission=AdmissionController(
-            n_g=args.admit_burst, w_g_step=args.admit_step,
-            w_g_max=args.admit_max, target_depth=args.admit_depth),
-        journal_sync=args.journal_sync,
-        max_queue=args.max_queue,
-        max_frame=args.max_frame,
-        write_timeout=args.write_timeout)
-    print(f"repro service: socket {os.path.abspath(args.socket)}"
-          + (f", http http://127.0.0.1:{args.http_port}"
-             if args.http_port else "")
-          + f", {args.workers} warm worker(s)")
-    print(f"  cache: {os.path.abspath(daemon.cache.root)}")
-    print(f"  oplog: {args.log_file or 'stderr'} "
-          f"(level {args.log_level}); GET /metrics + /healthz for "
-          "scraping, `python -m repro top` for a live view")
-    print("  SIGTERM/SIGINT drains gracefully "
-          "(queued jobs salvage as 'interrupted')")
-    daemon.serve_forever()
-    print("service drained; bye")
-    return 0
-
-
-def cmd_top(args) -> int:
-    """Live terminal view of a running daemon (docs/observability.md)."""
-    from repro.metrics.top import run_top
-    return run_top(address=args.address, interval=args.interval,
-                   once=args.once)
-
-
 def cmd_faults(args) -> int:
     """Run the fault-injection campaign (see docs/robustness.md)."""
-    from repro.faults import (run_campaign, run_service_campaign,
-                              scenario_names, service_scenario_names)
+    from repro.faults import run_campaign, scenario_names
     if args.list_scenarios:
-        names = service_scenario_names() if args.service \
-            else scenario_names()
-        for name in names:
+        for name in scenario_names():
             print(name)
         return 0
     only = args.only.split(",") if args.only else None
@@ -430,13 +331,9 @@ def cmd_faults(args) -> int:
         print(f"  {outcome.name}: {outcome.classification}",
               file=sys.stderr)
 
-    if args.service:
-        report = run_service_campaign(scale=args.scale, seed=args.seed,
-                                      only=only, progress=progress)
-    else:
-        report = run_campaign(scale=args.scale, seed=args.seed,
-                              mix_name=args.mix, policy=args.policy,
-                              only=only, progress=progress)
+    report = run_campaign(scale=args.scale, seed=args.seed,
+                          mix_name=args.mix, policy=args.policy,
+                          only=only, progress=progress)
     print(report.format())
     print(f"wall time: {time.time()-t0:.1f}s")
     return 0 if report.ok else 1
@@ -446,17 +343,8 @@ def cmd_sweep(args) -> int:
     """QoS-target sweep on one mix (the headline ablation)."""
     from repro.analysis.sweep import sweep, vary_qos
     targets = [float(x) for x in args.targets.split(",")]
-    executor = None
-    address = _remote_address(args)
-    if address is not None:
-        from repro.service import remote_run_many
-
-        def executor(specs):
-            return remote_run_many(specs, address=address, strict=True,
-                                   fallback=args.remote_fallback)
     rows = sweep(args.mix, policy="throtcpuprio", scale=args.scale,
-                 seed=args.seed, variations=vary_qos(target_fps=targets),
-                 executor=executor)
+                 seed=args.seed, variations=vary_qos(target_fps=targets))
     for row in rows:
         print(f"  {row.label:18s} -> GPU {row.result.fps:6.1f} FPS")
     return 0
@@ -469,22 +357,25 @@ def main(argv=None) -> int:
     p = sub.add_parser("run", help="run one mix under one policy")
     p.add_argument("--mix", default="M7")
     p.add_argument("--policy", default="throtcpuprio")
-    p.add_argument("--profile", action="store_true",
-                   help="profile the event kernel (per-owner event "
-                        "counts + wall-time breakdown; bypasses cache)")
-    p.add_argument("--telemetry", metavar="PATH",
-                   help="record control-loop telemetry to PATH "
-                        "(.jsonl or .csv; bypasses cache; see "
-                        "docs/telemetry.md)")
-    p.add_argument("--trace-spans", metavar="PATH",
-                   help="sample request-path spans to PATH (.jsonl; "
-                        "bypasses cache; see docs/latency.md)")
+    # each probe flag selects its own uncached run: at most one per run
+    probe = p.add_mutually_exclusive_group()
+    probe.add_argument("--profile", action="store_true",
+                       help="profile the event kernel (per-owner event "
+                            "counts + wall-time breakdown; bypasses "
+                            "cache)")
+    probe.add_argument("--telemetry", metavar="PATH",
+                       help="record control-loop telemetry to PATH "
+                            "(.jsonl or .csv; bypasses cache; see "
+                            "docs/telemetry.md)")
+    probe.add_argument("--trace-spans", metavar="PATH",
+                       help="sample request-path spans to PATH (.jsonl; "
+                            "bypasses cache; see docs/latency.md)")
+    probe.add_argument("--guard", action="store_true",
+                       help="attach the invariant monitor (conservation, "
+                            "occupancy, liveness checks; bypasses cache; "
+                            "see docs/robustness.md)")
     p.add_argument("--span-sample", type=int, default=64, metavar="N",
                    help="trace 1-in-N eligible requests (default 64)")
-    p.add_argument("--guard", action="store_true",
-                   help="attach the invariant monitor (conservation, "
-                        "occupancy, liveness checks; bypasses cache; "
-                        "see docs/robustness.md)")
     from repro.config import PREDICTORS
     p.add_argument("--predictor", default=None,
                    choices=list(PREDICTORS),
@@ -496,14 +387,15 @@ def main(argv=None) -> int:
     p = sub.add_parser("standalone", help="run one app alone")
     p.add_argument("--game")
     p.add_argument("--spec", type=int)
-    p.add_argument("--profile", action="store_true",
-                   help="profile the event kernel (bypasses cache)")
-    p.add_argument("--telemetry", metavar="PATH",
-                   help="record control-loop telemetry to PATH "
-                        "(.jsonl or .csv; bypasses cache)")
-    p.add_argument("--trace-spans", metavar="PATH",
-                   help="sample request-path spans to PATH (.jsonl; "
-                        "bypasses cache; see docs/latency.md)")
+    probe = p.add_mutually_exclusive_group()
+    probe.add_argument("--profile", action="store_true",
+                       help="profile the event kernel (bypasses cache)")
+    probe.add_argument("--telemetry", metavar="PATH",
+                       help="record control-loop telemetry to PATH "
+                            "(.jsonl or .csv; bypasses cache)")
+    probe.add_argument("--trace-spans", metavar="PATH",
+                       help="sample request-path spans to PATH (.jsonl; "
+                            "bypasses cache; see docs/latency.md)")
     p.add_argument("--span-sample", type=int, default=64, metavar="N",
                    help="trace 1-in-N eligible requests (default 64)")
     p.set_defaults(fn=cmd_standalone)
@@ -569,75 +461,6 @@ def main(argv=None) -> int:
                    help="delete every persisted result")
     p.set_defaults(fn=cmd_cache)
 
-    p = sub.add_parser("serve",
-                       help="run the simulation service daemon "
-                            "(warm workers, shared cache, admission "
-                            "control; see docs/service.md)")
-    p.add_argument("--socket", default=".repro_service.sock",
-                   metavar="PATH", help="Unix socket rendezvous "
-                   "(default .repro_service.sock)")
-    p.add_argument("--http-port", type=int, default=None, metavar="PORT",
-                   help="also serve the HTTP/JSON adapter on "
-                        "127.0.0.1:PORT")
-    p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="persistent warm worker processes (default 2)")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="per-attempt wall-clock cap; a wedged worker "
-                        "is recycled (default: none)")
-    p.add_argument("--retries", type=int, default=1, metavar="N",
-                   help="retries for worker death/timeouts (default 1)")
-    p.add_argument("--admit-burst", type=int, default=8, metavar="N_G",
-                   help="per-client burst allowance before gating "
-                        "(default 8)")
-    p.add_argument("--admit-step", type=float, default=0.05,
-                   metavar="S", help="W_G growth step, seconds per "
-                   "job of backlog over target (default 0.05)")
-    p.add_argument("--admit-max", type=float, default=2.0, metavar="S",
-                   help="W_G ceiling in seconds (default 2.0)")
-    p.add_argument("--admit-depth", type=int, default=4, metavar="D",
-                   help="backlog target: no gating at or below this "
-                        "queue depth (default 4)")
-    p.add_argument("--log-file", default=None, metavar="PATH",
-                   help="append JSONL oplog records to PATH "
-                        "(default: stderr)")
-    p.add_argument("--log-level", default="info",
-                   choices=["debug", "info", "warning", "error"],
-                   help="oplog severity threshold (default info)")
-    p.add_argument("--journal-sync", default="batch",
-                   choices=["always", "batch", "off", "disabled"],
-                   help="crash-safe job journal fsync policy: always "
-                        "(fsync per record), batch (fsync every 32), "
-                        "off (OS flush only), disabled (no journal; "
-                        "default batch; see docs/service.md)")
-    p.add_argument("--max-queue", type=int, default=256, metavar="N",
-                   help="pending-job bound: submissions past this "
-                        "depth get a structured 'overloaded' refusal "
-                        "with a retry-after hint (default 256)")
-    p.add_argument("--max-frame", type=int, default=8 * 1024 * 1024,
-                   metavar="BYTES",
-                   help="largest accepted request line; longer frames "
-                        "get a 'protocol_error' refusal and the "
-                        "connection is closed (default 8 MiB)")
-    p.add_argument("--write-timeout", type=float, default=30.0,
-                   metavar="S",
-                   help="drop clients that stall reads longer than "
-                        "this while the daemon writes (default 30)")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser("top",
-                       help="live view of a running daemon: polls "
-                            "GET /metrics + /healthz "
-                            "(see docs/observability.md)")
-    p.add_argument("address", nargs="?", default=None,
-                   help="daemon rendezvous: socket path or host:port "
-                        "(default $REPRO_SERVICE or "
-                        ".repro_service.sock)")
-    p.add_argument("--interval", type=float, default=2.0, metavar="S",
-                   help="refresh period in seconds (default 2)")
-    p.add_argument("--once", action="store_true",
-                   help="print one frame and exit (for scripts)")
-    p.set_defaults(fn=cmd_top)
-
     p = sub.add_parser("faults",
                        help="fault-injection campaign: every fault "
                             "detected or tolerated, never silent")
@@ -647,11 +470,6 @@ def main(argv=None) -> int:
                    help="run only these scenarios")
     p.add_argument("--list-scenarios", action="store_true",
                    help="print scenario names and exit")
-    p.add_argument("--service", action="store_true",
-                   help="run the serving-layer chaos campaign instead "
-                        "(daemon SIGKILL + journal recovery, torn/"
-                        "corrupt journals, protocol abuse, slowloris, "
-                        "pool massacre; see docs/robustness.md)")
     p.set_defaults(fn=cmd_faults)
 
     for sp in sub.choices.values():
@@ -661,21 +479,6 @@ def main(argv=None) -> int:
         sp.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for independent runs "
                              "(0 = one per core; default: $REPRO_JOBS or 1)")
-    for name in ("run", "compare", "compare-predictors", "sweep"):
-        sub.choices[name].add_argument(
-            "--remote", nargs="?", const="", default=None,
-            metavar="ADDR",
-            help="route runs through a running `repro serve` daemon "
-                 "(socket path or host:port; comma-separated list = "
-                 "failover order; bare --remote takes $REPRO_SERVICE "
-                 "or .repro_service.sock)")
-        sub.choices[name].add_argument(
-            "--remote-fallback", default=None,
-            choices=["local", "error"],
-            help="when every daemon in the --remote list is "
-                 "unreachable: run locally (local, the default) or "
-                 "fail the command (error); also "
-                 "$REPRO_REMOTE_FALLBACK")
 
     # the campaign defaults to test scale: smoke runs are short enough
     # that some scenarios (FRPU misprediction) may never engage
@@ -686,7 +489,10 @@ def main(argv=None) -> int:
         # route every layer (run_many defaults, figure prefetches)
         # through the requested fan-out
         os.environ["REPRO_JOBS"] = str(args.jobs)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    finally:
+        shared_cache().persist_stats()
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Join operational logs back into per-trace lifecycles.
 
-The serving stack writes one JSONL record per operational event
-(:mod:`repro.metrics.oplog`), every record carrying the ``trace_id``
-minted at client submission.  :class:`OpLogView` loads such a file
+An operational log (:mod:`repro.metrics.oplog`) holds one JSONL record
+per operational event, every record carrying the ``trace_id`` minted
+at client submission.  :class:`OpLogView` loads such a file
 (through the same forgiving :func:`~repro.analysis.ingest.read_jsonl`
 the other analysis tools use) and answers the debugging questions the
 flat stream can't: *what happened to this submission*, end to end —
@@ -17,7 +17,7 @@ link, so a waiter's lifecycle includes the execution it rode on.
 (span traces, telemetry exports) against the oplog by a shared field —
 the run ``label`` by default, since span/telemetry rows predate trace
 IDs — giving one command-line path from "this submission was slow" to
-the simulator-level evidence (``docs/observability.md``).
+the simulator-level evidence.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class OpLogView:
     # -- rendering ------------------------------------------------------------
 
     def format(self, limit: Optional[int] = None) -> str:
-        """A human-readable per-trace table (``repro top``'s offline
+        """A human-readable per-trace table (``top``'s offline
         sibling)."""
         lines = [f"{'trace':16}  {'client':12}  {'label':28}  "
                  f"{'outcome':11}  flow"]

@@ -170,15 +170,11 @@ def compare_predictors(mixes: Sequence[str] = ("M1", "M7"),
                        scale: str = "smoke", seed: int = 1,
                        policy: str = "throtcpuprio",
                        jobs: Optional[int] = None,
-                       progress: Optional[Callable] = None,
-                       executor: Optional[Callable[[list], list]] = None
+                       progress: Optional[Callable] = None
                        ) -> Comparison:
     """Run the head-to-head: every mix x every predictor, plus one
-    baseline-policy run per mix for the end-to-end deltas.
-
-    ``executor`` swaps the batch engine (specs in, outcomes out), which
-    is how ``--remote`` routes the suite through a service daemon;
-    otherwise :func:`repro.exec.run_many` runs (and caches) locally.
+    baseline-policy run per mix for the end-to-end deltas, through
+    :func:`repro.exec.run_many` (cached, fanned out by ``jobs``).
     """
     mixes = tuple(mixes)
     predictors = tuple(predictors)
@@ -189,16 +185,7 @@ def compare_predictors(mixes: Sequence[str] = ("M1", "M7"),
     specs = [mix_spec(m, BASELINE_POLICY, scale, seed) for m in mixes]
     specs += [predictor_spec(m, p, scale, seed, policy)
               for m in mixes for p in predictors]
-    if executor is not None:
-        outcomes = executor(specs)
-        bad = [o for o in outcomes if not o.ok]
-        if bad:
-            raise RuntimeError(
-                f"{len(bad)} predictor run(s) failed remotely: "
-                f"{bad[0].spec.label}: {bad[0].error}")
-    else:
-        outcomes = run_many(specs, jobs=jobs, strict=True,
-                            progress=progress)
+    outcomes = run_many(specs, jobs=jobs, strict=True, progress=progress)
     results = [o.result for o in outcomes]
     baselines: dict[str, tuple[float, float]] = {}
     for m, r in zip(mixes, results[:len(mixes)]):

@@ -74,19 +74,14 @@ def sweep(mix_name: str, policy: str = "baseline", scale: str = "smoke",
           seed: int = 1,
           variations: Sequence[tuple[str, Transform]] = (),
           runner: Callable[[SystemConfig, object, object], RunResult]
-          = None, jobs: int | None = None,
-          executor: Callable[[list], list] = None) -> list[SweepRow]:
+          = None, jobs: int | None = None) -> list[SweepRow]:
     """Run ``mix_name`` under ``policy`` once per variation.
 
     The default path routes through :func:`repro.exec.run_many`, so
     variation runs are cached persistently and fan out across cores
     when ``jobs`` (or ``REPRO_JOBS``) asks for more than one worker.
     ``runner`` is injectable for testing; passing one bypasses the
-    executor and runs serially, uncached.  ``executor`` swaps the batch
-    engine itself — specs in, outcomes out — which is how the CLI's
-    ``--remote`` flag routes sweeps through a running service daemon
-    (:func:`repro.service.remote_run_many`); it must raise on failure
-    or return failed outcomes, like ``run_many(strict=True)``.
+    executor and runs serially, uncached.
     """
     m = mix_by_name(mix_name)
     base = default_config(scale=scale, n_cpus=m.n_cpus, seed=seed)
@@ -95,14 +90,9 @@ def sweep(mix_name: str, policy: str = "baseline", scale: str = "smoke",
         return [SweepRow(label, runner(transform(base), m,
                                        make_policy(policy)))
                 for label, transform in todo]
-    from repro.exec import BatchError, RunSpec, run_many
+    from repro.exec import RunSpec, run_many
     specs = [RunSpec(mix=m, policy=policy, scale=scale, seed=seed,
                      cfg=transform(base)) for _label, transform in todo]
-    if executor is not None:
-        outcomes = executor(specs)
-        if any(not out.ok for out in outcomes):
-            raise BatchError(outcomes)
-    else:
-        outcomes = run_many(specs, jobs=jobs, strict=True)
+    outcomes = run_many(specs, jobs=jobs, strict=True)
     return [SweepRow(label, out.result)
             for (label, _t), out in zip(todo, outcomes)]

@@ -9,14 +9,6 @@ Public surface::
     for out in outcomes:
         assert out.ok, out.error
 
-Warm submission reuses one pool of pre-imported workers across
-batches (this is what the :mod:`repro.service` daemon runs on)::
-
-    from repro.exec import WorkerPool
-    with WorkerPool(4) as pool:
-        first = run_many(specs, pool=pool)    # pays no spin-up
-        again = run_many(specs, pool=pool)    # pure cache hits
-
 See :mod:`repro.exec.executor` and :mod:`repro.exec.cache` for the
 execution and caching semantics, and ``docs/architecture.md`` for how
 the analysis / benchmark layers route through this package.
@@ -28,16 +20,14 @@ from repro.exec.executor import (BatchError, BatchInterrupted, RunOutcome,
                                  clear_caches, counters, default_jobs,
                                  reset_counters, run_cached, run_many,
                                  set_shared_cache, shared_cache)
-from repro.exec.inflight import InFlightRegistry
-from repro.exec.pool import PoolEvent, WorkerPool
 from repro.exec.specs import (RunSpec, mix_spec, standalone_cpu_spec,
                               standalone_gpu_spec)
 
 __all__ = [
     "BatchError", "BatchInterrupted", "CacheIntegrityWarning",
-    "CacheStats", "InFlightRegistry", "PoolEvent", "ResultCache",
-    "RunOutcome", "RunSpec", "WorkerPool", "clear_caches", "code_salt",
-    "counters", "default_jobs", "mix_spec", "reset_counters",
+    "CacheStats", "ResultCache", "RunOutcome", "RunSpec",
+    "clear_caches", "code_salt", "counters", "default_jobs",
+    "mix_spec", "reset_counters",
     "run_cached", "run_many", "set_shared_cache", "shared_cache",
     "standalone_cpu_spec", "standalone_gpu_spec",
 ]

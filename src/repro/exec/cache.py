@@ -47,8 +47,6 @@ try:
 except ImportError:                    # pragma: no cover - non-POSIX
     fcntl = None
 
-from repro import metrics as _metrics
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.exec.specs import RunSpec
     from repro.sim.metrics import RunResult
@@ -164,9 +162,6 @@ class ResultCache:
         silently: a half-loaded result would poison every figure that
         normalises against it."""
         self.stats.corrupt += 1
-        _metrics.counter("repro_cache_corrupt_total",
-                         "Cache files quarantined on checksum "
-                         "failure").inc()
         try:
             os.replace(path, path + ".corrupt")
             moved = True
@@ -213,31 +208,20 @@ class ResultCache:
         hit = self._memory.get(key)
         if hit is not None:
             self.stats.memory_hits += 1
-            _metrics.counter("repro_cache_hits_total",
-                             "Result-cache hits by layer",
-                             layer="memory").inc()
             return deepcopy(hit), "memory"
         if self.disk_enabled():
             result = self._read_disk(self.path_for(key))
             if result is not None:
                 self._memory[key] = result
                 self.stats.disk_hits += 1
-                _metrics.counter("repro_cache_hits_total",
-                                 "Result-cache hits by layer",
-                                 layer="disk").inc()
                 return deepcopy(result), "disk"
         self.stats.misses += 1
-        _metrics.counter("repro_cache_misses_total",
-                         "Result-cache lookups that missed both "
-                         "layers").inc()
         return None, "miss"
 
     def put(self, spec: "RunSpec", result: "RunResult") -> None:
         key = self.key_for(spec)
         self._memory[key] = deepcopy(result)
         self.stats.stores += 1
-        _metrics.counter("repro_cache_stores_total",
-                         "Results written into the cache").inc()
         if not self.disk_enabled():
             return
         path = self.path_for(key)
@@ -354,8 +338,6 @@ class ResultCache:
             removed += 1
             freed += size
             self.stats.pruned += 1
-            _metrics.counter("repro_cache_pruned_total",
-                             "Result files evicted by prune()").inc()
         return removed, freed
 
     # -- store-wide persisted counters ---------------------------------------
@@ -399,19 +381,22 @@ class ResultCache:
     def persist_stats(self) -> dict:
         """Fold this process's counter deltas into ``stats.json``.
 
-        Called by long-lived owners of a shared store (the service
-        daemon on shutdown and periodically, the CLI after batch
-        commands).  The read-merge-write runs under
-        :meth:`_stats_lock`, so concurrent writers serialise instead of
-        losing each other's deltas (pinned by the two-writer race test
-        in ``tests/metrics/test_persist_stats.py``); the write itself
-        stays atomic-replace, so a crashed writer can tear the lock
-        window but never the file.  Returns the merged store-wide
-        totals.
+        ``python -m repro`` calls it on the shared cache when a command
+        returns, so ``cache stats`` counts every CLI run against the
+        store.  The read-merge-write runs under :meth:`_stats_lock`, so
+        concurrent writers serialise instead of losing each other's
+        deltas (pinned by the two-writer race test in
+        ``tests/metrics/test_persist_stats.py``); the write itself stays
+        atomic-replace, so a crashed writer can tear the lock window
+        but never the file.  With no new counts, or with the disk layer
+        off (``REPRO_CACHE=0``), nothing is written.  Returns the
+        store-wide totals.
         """
         current = asdict(self.stats)
         last = asdict(self._persisted)
         delta = {k: current[k] - last[k] for k in current}
+        if not any(delta.values()) or not self.disk_enabled():
+            return self.persisted_stats()
         try:
             os.makedirs(self.root, exist_ok=True)
             with self._stats_lock():

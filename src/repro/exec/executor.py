@@ -43,12 +43,10 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, TYPE_CHECKING
 
-from repro import metrics as _metrics
 from repro.exec.cache import ResultCache
 from repro.exec.specs import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.exec.pool import WorkerPool
     from repro.sim.metrics import RunResult
 
 JOBS_ENV = "REPRO_JOBS"
@@ -60,22 +58,6 @@ counters = {"executed": 0}
 
 def reset_counters() -> None:
     counters["executed"] = 0
-
-
-def _count_attempt() -> None:
-    _metrics.counter("repro_exec_attempts_total",
-                     "Simulation execution attempts launched (includes "
-                     "retried and fallback attempts)").inc()
-
-
-def _count_fault(why: str, retried: bool) -> None:
-    kind = "death" if why == "worker died" else "timeout"
-    _metrics.counter("repro_exec_faults_total",
-                     "Attempts lost to worker death or wall-clock "
-                     "timeout", kind=kind).inc()
-    if retried:
-        _metrics.counter("repro_exec_retries_total",
-                         "Faulted attempts re-queued with backoff").inc()
 
 
 def default_jobs() -> int:
@@ -213,7 +195,6 @@ def run_cached(spec: RunSpec,
     if hit is not None:
         return hit
     counters["executed"] += 1
-    _count_attempt()
     result = spec.run()
     cache.put(spec, result)           # put() stores its own deep copy
     return result
@@ -273,8 +254,7 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
              strict: bool = False,
              timeout: Optional[float] = None,
              retries: int = 0,
-             backoff: float = 0.5,
-             pool: Optional["WorkerPool"] = None) -> List[RunOutcome]:
+             backoff: float = 0.5) -> List[RunOutcome]:
     """Run a batch of independent specs; outcomes align with input order.
 
     Identical specs are executed once.  Cache hits (memory or disk) skip
@@ -285,18 +265,10 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     ``backoff`` seconds).  With ``strict=True`` a :class:`BatchError`
     is raised if any spec failed.  SIGINT/SIGTERM raises
     :class:`BatchInterrupted` after salvaging completed results.
-
-    ``pool`` injects a started :class:`~repro.exec.pool.WorkerPool`:
-    misses are executed on its persistent, pre-imported workers instead
-    of per-attempt processes, skipping process spin-up and cold imports
-    entirely (the pool's size is the fan-out; ``jobs`` is ignored).
-    The pool stays alive across calls — the caller owns its lifecycle.
     """
     specs = list(specs)
     cache = cache or shared_cache()
     jobs = default_jobs() if jobs is None else max(int(jobs), 1)
-    _metrics.counter("repro_batches_total",
-                     "run_many batches started").inc()
     if timeout is not None and timeout <= 0:
         raise ValueError("timeout must be positive seconds (or None)")
     if retries < 0 or backoff < 0:
@@ -351,7 +323,6 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     def run_serial(key: str, spec) -> None:
         t0 = time.perf_counter()
         counters["executed"] += 1
-        _count_attempt()
         try:
             result = spec.run()
         except Exception:
@@ -362,15 +333,7 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
 
     restore = _sigterm_to_interrupt()
     try:
-        if pool is not None and order:
-            # warm path: persistent pre-imported workers; worker death
-            # without hardening options falls back to in-process serial
-            # execution, mirroring the managed path's legacy resilience
-            fallback = run_serial \
-                if timeout is None and retries == 0 else None
-            _run_pooled(order, finish, pool, timeout, retries, backoff,
-                        fallback)
-        elif timeout is None and retries == 0 and \
+        if timeout is None and retries == 0 and \
                 (jobs <= 1 or len(order) <= 1):
             for key, spec in order:
                 run_serial(key, spec)
@@ -387,23 +350,13 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
                          fallback)
     except KeyboardInterrupt:
         salvage()
-        _metrics.counter("repro_exec_interrupted_total",
-                         "Batches cut short by SIGINT/SIGTERM").inc()
-        partial = [o for o in outcomes if o is not None]
-        _metrics.oplog().emit(
-            "batch_interrupted", level="warning",
-            completed=sum(1 for o in partial if o.ok),
-            total=len(partial))
-        raise BatchInterrupted(partial) from None
+        raise BatchInterrupted(
+            [o for o in outcomes if o is not None]) from None
     finally:
         restore()
 
     done: List[RunOutcome] = [o for o in outcomes if o is not None]
     assert len(done) == total, "executor lost a batch slot"
-    for o in done:
-        _metrics.counter("repro_runs_total",
-                         "Batch slots resolved, by where the result "
-                         "came from", source=o.source).inc()
     if strict and any(not o.ok for o in done):
         raise BatchError(done)
     return done
@@ -427,7 +380,6 @@ def _run_managed(order: List[tuple], finish, jobs: int,
     def launch(task: _Task) -> None:
         task.attempts += 1
         counters["executed"] += 1
-        _count_attempt()
         parent, child = ctx.Pipe(duplex=False)
         task.conn = parent
         task.proc = ctx.Process(target=_task_worker,
@@ -457,7 +409,6 @@ def _run_managed(order: List[tuple], finish, jobs: int,
         reap(task)
 
     def retry_or_fail(task: _Task, why: str) -> None:
-        _count_fault(why, retried=task.attempts <= retries)
         if task.attempts <= retries:
             delay = backoff * (2 ** (task.attempts - 1))
             task.not_before = time.monotonic() + delay
@@ -518,91 +469,4 @@ def _run_managed(order: List[tuple], finish, jobs: int,
         # interrupt or internal error: reap every child before leaving
         for task in running:
             kill(task)
-        raise
-
-
-def _run_pooled(order: List[tuple], finish, pool: "WorkerPool",
-                timeout: Optional[float], retries: int,
-                backoff: float, fallback=None) -> None:
-    """Dispatch loop over a persistent :class:`WorkerPool`.
-
-    Same semantics as :func:`_run_managed` — per-attempt timeouts,
-    bounded retry with exponential backoff, legacy in-process fallback
-    on worker death — but jobs go to already-warm workers, so a
-    cache-miss batch pays no process spin-up and no cold imports, and a
-    cache-hit batch touches no process at all.  A timed-out worker is
-    *recycled* (killed and respawned) so pool capacity survives faults.
-
-    On interrupt every busy worker is recycled before re-raising: a
-    stale completion can never leak into a later batch.
-    """
-    if not pool.started:
-        pool.start()
-    tasks = {key: _Task(key, spec) for key, spec in order}
-    pending: List[_Task] = list(tasks.values())
-    inflight: dict = {}                # key -> _Task currently on a worker
-
-    def launch(task: _Task) -> None:
-        task.attempts += 1
-        counters["executed"] += 1
-        _count_attempt()
-        pool.submit(task.key, task.spec)
-        task.deadline = (time.monotonic() + timeout
-                         if timeout is not None else None)
-        inflight[task.key] = task
-
-    def retry_or_fail(task: _Task, why: str) -> None:
-        _count_fault(why, retried=task.attempts <= retries)
-        if task.attempts <= retries:
-            delay = backoff * (2 ** (task.attempts - 1))
-            task.not_before = time.monotonic() + delay
-            pending.append(task)
-        elif fallback is not None and why == "worker died":
-            counters["executed"] -= 1   # run_serial counts its own
-            fallback(task.key, task.spec)
-        else:
-            finish(task.key, task.spec, False,
-                   f"{why} (after {task.attempts} attempt(s))",
-                   0.0, attempts=task.attempts)
-
-    try:
-        while pending or inflight:
-            now = time.monotonic()
-            i = 0
-            while i < len(pending) and pool.idle_count() > 0:
-                if pending[i].not_before <= now:
-                    launch(pending.pop(i))
-                else:
-                    i += 1
-            waits = [t.deadline for t in inflight.values()
-                     if t.deadline is not None]
-            if pending and pool.idle_count() > 0:
-                waits.extend(t.not_before for t in pending)
-            wait_for = max(min(min((w - now for w in waits),
-                                   default=1.0), 1.0), 0.01)
-            if inflight:
-                events = pool.wait(timeout=wait_for)
-            else:
-                time.sleep(wait_for)   # everything is backing off
-                events = []
-            for ev in events:
-                task = inflight.pop(ev.tag)
-                if ev.died:
-                    retry_or_fail(task, "worker died")
-                    continue
-                finish(task.key, task.spec, ev.ok, ev.payload,
-                       ev.elapsed, attempts=task.attempts)
-            if timeout is None:
-                continue
-            now = time.monotonic()
-            for task in [t for t in inflight.values()
-                         if t.deadline is not None and t.deadline <= now]:
-                del inflight[task.key]
-                pool.recycle(task.key)
-                retry_or_fail(
-                    task, f"timed out after {timeout:g}s wall clock")
-    except BaseException:
-        # interrupt or internal error: the pool survives, but every
-        # busy worker is recycled so no stale reply outlives this batch
-        pool.abandon_busy()
         raise

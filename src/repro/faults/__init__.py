@@ -12,10 +12,6 @@ Three layers of controlled breakage, all seeded and reproducible:
   :class:`~repro.exec.CacheIntegrityWarning`, a failed
   :class:`~repro.exec.RunOutcome`) or *tolerated with recorded
   degradation* — never silent.
-* :mod:`repro.faults.service` — the serving-layer chaos campaign
-  behind ``python -m repro faults --service``: daemon SIGKILL and
-  journal recovery, torn/corrupt journals, protocol abuse, slowloris
-  clients, and pool massacres, under the same never-silent contract.
 
 See ``docs/robustness.md`` for the campaign guide.
 """
@@ -24,14 +20,11 @@ from repro.faults.campaign import (CampaignReport, ScenarioOutcome,
                                    run_campaign, scenario_names)
 from repro.faults.injectors import (FaultPlan, FrpuPerturbation,
                                     RequestFault, corrupt_file)
-from repro.faults.service import (run_service_campaign,
-                                  service_scenario_names)
 from repro.faults.workers import (CrashSpec, FailSpec, FlakySpec,
                                   HangSpec, SleepSpec)
 
 __all__ = [
     "CampaignReport", "CrashSpec", "FailSpec", "FaultPlan", "FlakySpec",
     "FrpuPerturbation", "HangSpec", "RequestFault", "ScenarioOutcome",
-    "SleepSpec", "corrupt_file", "run_campaign", "run_service_campaign",
-    "scenario_names", "service_scenario_names",
+    "SleepSpec", "corrupt_file", "run_campaign", "scenario_names",
 ]

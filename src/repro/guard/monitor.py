@@ -376,7 +376,7 @@ class InvariantMonitor:
                                f"{transitions[i][0]} — learning and "
                                "prediction must alternate")
                 self._phase_idx += 1
-            from repro.core.frpu import Phase
+            from repro.predict.rtp import Phase
             if frpu.phase is Phase.PREDICTION and frpu.learned is None:
                 self._fail("frpu_phase",
                            "FRPU in prediction phase with no learned "

@@ -1,31 +1,23 @@
-"""repro.metrics — operational observability for the serving stack.
+"""repro.metrics — the serving stack's operational observability.
 
-Three layers (see ``docs/observability.md``):
+The daemon, its worker pool and the ``top`` command that fed and read
+this package are gone, and nothing in ``repro`` imports it any more;
+it stays, with ``tests/metrics/``, until its own removal (ROADMAP.md,
+"Delete the orphaned metrics layer").  Its modules:
 
-* :mod:`repro.metrics.instruments` — the primitives: :class:`Counter`,
-  :class:`Gauge`, and the 65-bucket log2 :class:`Histogram` (promoted
-  from ``repro.spans.histogram``, which now re-exports them).
+* :mod:`repro.metrics.instruments` — :class:`Counter`, plus the span
+  layer's :class:`Gauge` and 65-bucket log2 :class:`Histogram`
+  (defined in :mod:`repro.spans.histogram`, re-exported here).
 * :mod:`repro.metrics.registry` — the process-wide
   :class:`MetricsRegistry` of labeled instrument families with atomic
-  snapshot/merge (worker processes ship deltas over their duplex
-  pipes) and Prometheus-text rendering; every layer of the
-  serving/executor path — daemon, :class:`~repro.exec.pool.WorkerPool`,
-  :func:`~repro.exec.run_many`, :class:`~repro.exec.cache.ResultCache`
-  — records into :func:`registry`.
-* :mod:`repro.metrics.oplog` — trace-ID-correlated structured JSONL
-  operational log; :func:`mint_trace_id` at client submission,
-  propagated client → protocol → scheduler → pool worker → execution.
+  snapshot/merge and Prometheus-text rendering.
+* :mod:`repro.metrics.oplog` — a trace-ID-correlated structured JSONL
+  operational log, a no-op until configured.
+* :mod:`repro.metrics.top` — a parser for that Prometheus text and a
+  terminal view of a daemon's ``GET /metrics`` and ``GET /healthz``.
 
-The daemon exposes the registry as ``GET /metrics`` (Prometheus text)
-and a liveness digest as ``GET /healthz``; ``python -m repro top``
-(:mod:`repro.metrics.top`) renders both live in the terminal, and
-:mod:`repro.analysis.oplog` joins operational logs back into per-trace
-lifecycles.
-
-Zero-cost when unused: the simulation fast path carries no metrics
-hooks at all (the ``metrics_off`` gate in ``scripts/bench_kernel.py
---check`` pins this), the unconfigured oplog is a no-op sentinel, and
-instrumented serving results stay bit-identical to local execution.
+:mod:`repro.analysis.oplog` joins operational logs back into
+per-trace lifecycles.
 """
 
 from repro.metrics.instruments import Counter, Gauge, Histogram

@@ -1,27 +1,24 @@
 """Structured operational log with trace-ID correlation.
 
 Where :mod:`repro.telemetry` records what the *simulated machine* did,
-the oplog records what the *serving stack* did: one JSONL record per
+the oplog records what a *serving process* did: one JSONL record per
 operational event (submission received, job queued/started/done,
-coalesce attach, worker run, drain summary), every record stamped with
+worker run), every record stamped with
 a wall-clock ``ts``, the emitting ``pid``, a severity ``level``, and —
 wherever one exists — the ``trace_id`` minted at client submission.
 
-Trace IDs are the federation debugging primitive: the client mints one
-per spec (:func:`mint_trace_id`), the wire protocol carries it next to
-(never inside) the ``RunSpec`` so cache keys are unperturbed, the
-daemon attaches it to the job, the pool worker inherits it for the
-``run_start``/``run_done`` records, and coalesced waiters log their own
-IDs against the winning execution's.  ``repro.analysis.oplog`` joins
-the stream back into per-trace lifecycles.
+Trace IDs are the debugging primitive: a client mints one per spec
+(:func:`mint_trace_id`) and carries it next to (never inside) the
+``RunSpec``, so cache keys are unperturbed, and every record about
+that spec's execution carries it.  ``repro.analysis.oplog`` joins the
+stream back into per-trace lifecycles.
 
 The global oplog is **disabled until configured** — ``oplog().emit``
 on the disabled sentinel is a single attribute check, so library code
 logs unconditionally and pays nothing in unconfigured processes.
-``python -m repro serve`` configures it (stderr by default,
-``--log-file``/``--log-level`` otherwise); worker processes forked
-after configuration inherit the open sink, and append-mode line writes
-keep concurrent records whole.
+:func:`configure` opens a sink (stderr by default, or a path); worker
+processes forked after configuration inherit the open sink, and
+append-mode line writes keep concurrent records whole.
 """
 
 from __future__ import annotations

@@ -19,18 +19,15 @@ Design constraints, in order:
   the whole registry into a JSON-able dict under the lock;
   :func:`snapshot_delta` subtracts a previous snapshot (counters and
   histogram buckets are monotone) and :meth:`MetricsRegistry.merge`
-  folds a snapshot (or delta) back in.  That is how
-  :class:`~repro.exec.pool.WorkerPool` workers ship their metrics over
-  the existing duplex pipes for daemon-side aggregation;
+  folds a snapshot (or delta) back in, so a worker process can ship
+  its metrics to its parent as a delta;
 * **Prometheus text** — :meth:`MetricsRegistry.render` emits the
-  ``text/plain; version=0.0.4`` exposition format the daemon's
-  ``GET /metrics`` serves: counters and gauges as single samples,
+  ``text/plain; version=0.0.4`` exposition format a ``GET /metrics``
+  endpoint serves: counters and gauges as single samples,
   histograms as cumulative ``_bucket{le=...}`` series (log2 upper
   edges) plus ``_sum``/``_count``.
 
-The process-wide default lives behind :func:`registry`; everything in
-the serving/executor stack records into it so one scrape covers the
-daemon, its pool, the executor, and the result cache.
+The process-wide default lives behind :func:`registry`.
 """
 
 from __future__ import annotations

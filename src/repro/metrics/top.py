@@ -1,4 +1,4 @@
-"""``python -m repro top`` — a live terminal view of a running daemon.
+"""A live terminal view of a running daemon's metrics.
 
 Polls ``GET /metrics`` (Prometheus text) and ``GET /healthz`` (JSON)
 over whatever rendezvous the daemon listens on — the Unix socket works
@@ -7,9 +7,8 @@ is required — and renders a compact dashboard: liveness, job flow,
 cache effectiveness, admission-gate state, and request latency
 percentiles recovered from the histogram buckets.
 
-``--once`` prints a single frame and exits (scripts, smoke tests);
-otherwise the view refreshes every ``--interval`` seconds until
-Ctrl-C.  The Prometheus parser here is also the reference parser the
+``once=True`` prints a single frame and returns; otherwise the view
+refreshes every ``interval`` seconds until Ctrl-C.  The Prometheus parser here is also the reference parser the
 metrics tests use — it understands exactly what
 :meth:`repro.metrics.registry.MetricsRegistry.render` emits.
 """
@@ -28,7 +27,7 @@ __all__ = ["fetch", "hist_quantile", "parse_prometheus", "render_frame",
 
 def _parse_address(address: str):
     """``host:port`` -> TCP tuple, anything else -> unix socket path
-    (mirrors :mod:`repro.service.client`)."""
+    (the daemon client's address rule)."""
     if ":" in address:
         host, _, port = address.rpartition(":")
         if port.isdigit():
@@ -242,9 +241,9 @@ def render_frame(families: Dict[str, dict], health: dict) -> str:
     return "\n".join(lines)
 
 
-def run_top(address: Optional[str] = None, interval: float = 2.0,
+def run_top(address: str, interval: float = 2.0,
             once: bool = False, out=None, fetch_fn=None) -> int:
-    """The ``python -m repro top`` entry point.
+    """Show the daemon at ``address`` until Ctrl-C (or once).
 
     Degrades gracefully when the daemon disappears mid-scrape or
     between refreshes: the last-seen frame stays on screen under a
@@ -252,8 +251,6 @@ def run_top(address: Optional[str] = None, interval: float = 2.0,
     until the daemon answers again (or Ctrl-C).  ``fetch_fn`` is an
     injection seam for tests (same signature as :func:`fetch`).
     """
-    from repro.service.client import default_address
-    address = address or default_address()
     out = out or sys.stdout
     fetch_fn = fetch_fn or fetch
     last_frame: Optional[str] = None

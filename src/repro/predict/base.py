@@ -65,7 +65,7 @@ class Predictor(ABC):
             raise ConfigError(
                 f"predictor.skip_frames must be >= 0, got {skip_frames!r}")
         #: subtract the pipeline's accounted throttle stall so the
-        #: predictor sees *natural* frame time (see repro.core.frpu's
+        #: predictor sees *natural* frame time (see repro.predict.rtp's
         #: module doc for why this keeps W_G stable)
         self.correct_throttle = correct_throttle
         #: initial frames ignored entirely (cold caches would poison

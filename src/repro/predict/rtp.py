@@ -1,8 +1,8 @@
 """The reference predictor: the paper's FRPU extrapolator (Eqs. 1-3).
 
-This is the hand-built frame-rate predictor of Section III-A, extracted
-verbatim from ``repro.core.frpu`` behind the
-:class:`~repro.predict.base.Predictor` interface.  It alternates
+This is the hand-built frame-rate predictor of Section III-A (exported
+under the paper's name as :class:`repro.core.FrameRatePredictor`) behind
+the :class:`~repro.predict.base.Predictor` interface.  It alternates
 between a *learning* phase — one complete frame is monitored and its
 per-RTP statistics recorded in the RTP information table — and a
 *prediction* phase, where the current frame's projected cycle count is

@@ -3,7 +3,7 @@ Eqs. 1-3, cross-verification)."""
 
 import pytest
 
-from repro.core.frpu import FrameRatePredictor, Phase
+from repro.predict.rtp import Phase, RtpExtrapolator as FrameRatePredictor
 from repro.gpu.pipeline import FrameRecord, RtpRecord
 
 

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.frpu import FrameRatePredictor, Phase
+from repro.predict.rtp import Phase, RtpExtrapolator as FrameRatePredictor
 from repro.gpu.pipeline import FrameRecord, RtpRecord
 
 

@@ -141,3 +141,36 @@ def test_cli_cache_prune_requires_max_size(store, capsys):
         assert main(["cache", "prune"]) == 2
     finally:
         set_shared_cache(prev)
+
+
+def test_cli_commands_feed_cache_stats(tmp_path, monkeypatch, capsys):
+    """Every CLI command folds its counters into the store when it
+    returns, so ``cache stats`` sees a repeated ``compare`` as hits."""
+    from repro.exec import set_shared_cache
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    argv = ["compare", "--mix", "W8", "--policies", "baseline",
+            "--scale", "smoke"]
+    store = ResultCache(root=str(tmp_path))
+    prev = set_shared_cache(None)       # rebuilt from REPRO_CACHE_DIR
+    try:
+        assert main(argv) == 0
+        first = store.persisted_stats()
+        set_shared_cache(None)          # the next command's own process
+        assert main(argv) == 0
+        second = store.persisted_stats()
+        capsys.readouterr()
+        assert main(["cache", "stats"]) == 0
+    finally:
+        set_shared_cache(prev)
+    assert first["misses"] > 0 and first["stores"] == first["misses"]
+    assert first["disk_hits"] == 0
+    # the repeat simulated nothing: every miss of the first call is a
+    # disk hit now
+    assert second["misses"] == first["misses"]
+    assert second["stores"] == first["stores"]
+    assert second["disk_hits"] == first["misses"]
+    hits = second["memory_hits"] + second["disk_hits"]
+    out = capsys.readouterr().out
+    assert f"hits:       {hits} (memory {second['memory_hits']}, " \
+           f"disk {second['disk_hits']})" in out

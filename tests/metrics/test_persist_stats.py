@@ -31,6 +31,21 @@ def test_single_writer_accumulates(tmp_path):
     assert ResultCache(root=root, salt="t").persisted_stats()["misses"] == 5
 
 
+def test_nothing_written_without_new_counts_or_disk_layer(tmp_path,
+                                                          monkeypatch):
+    """The CLI persists after every command, so a command that used no
+    cache, or ran with ``REPRO_CACHE=0``, must not create the store."""
+    root = tmp_path / "store"
+    cache = ResultCache(root=str(root), salt="t")
+    assert cache.persist_stats()["misses"] == 0
+    cache.stats.misses = 1
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    assert cache.persist_stats()["misses"] == 0
+    assert not root.exists()
+    monkeypatch.delenv("REPRO_CACHE")
+    assert cache.persist_stats()["misses"] == 1
+
+
 def test_two_writer_race_loses_nothing(tmp_path):
     """Many concurrent writers, each folding its own delta in
     repeatedly; the store total must equal the sum of every delta."""

@@ -1,6 +1,6 @@
-"""Import-compat: ``repro.spans.histogram`` is a shim over
-``repro.metrics.instruments`` — one implementation, every historical
-import path."""
+"""Import-compat: ``repro.metrics.instruments`` re-exports the
+``repro.spans.histogram`` primitives — one implementation, every
+historical import path."""
 
 import repro.metrics.instruments as instruments
 import repro.spans

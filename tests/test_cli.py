@@ -31,6 +31,31 @@ def test_standalone_spec(capsys):
     assert "IPC" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--telemetry", "t.jsonl", "--guard"],
+    ["run", "--trace-spans", "s.jsonl", "--telemetry", "t.jsonl"],
+    ["run", "--profile", "--trace-spans", "s.jsonl"],
+    ["standalone", "--game", "UT2004", "--profile", "--telemetry",
+     "t.jsonl"],
+    ["standalone", "--spec", "403", "--trace-spans", "s.jsonl",
+     "--telemetry", "t.jsonl"],
+])
+def test_probe_flags_refuse_combinations(argv, tmp_path, monkeypatch,
+                                         capsys):
+    """Each probe flag runs its own simulation: a combination is refused
+    up front, naming the flags, instead of one flag silently winning."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--scale", "smoke"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    probes = [a for a in argv if a in ("--profile", "--telemetry",
+                                       "--trace-spans", "--guard")]
+    assert all(flag in err for flag in probes)
+    assert "not allowed with" in err
+    assert list(tmp_path.iterdir()) == []       # nothing ran or wrote
+
+
 def test_run_prints_result(capsys):
     assert main(["run", "--mix", "W8", "--policy", "baseline",
                  "--scale", "smoke"]) == 0

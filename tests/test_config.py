@@ -67,12 +67,12 @@ def test_construction_time_rejections():
 
 
 def test_frpu_rejects_bad_knobs():
-    from repro.core.frpu import FrameRatePredictor
+    from repro.predict.rtp import RtpExtrapolator
     for kwargs in ({"ewma_alpha": 0.0}, {"ewma_alpha": 1.5},
                    {"verify_threshold": 0.0}, {"rtp_entries": 0},
                    {"skip_frames": -1}):
         with pytest.raises(ConfigError):
-            FrameRatePredictor(**kwargs)
+            RtpExtrapolator(**kwargs)
 
 
 def test_config_error_is_a_value_error():

@@ -287,7 +287,6 @@ def cmd_cache(args) -> int:
         if args.max_size is None:
             print("cache prune needs --max-size MB", file=sys.stderr)
             return 2
-        files, size = c.disk_usage()
         removed, freed = c.prune(int(args.max_size * 1e6))
         left, left_size = c.disk_usage()
         print(f"pruned {removed} file(s) ({freed / 1e6:.1f} MB) "
@@ -374,8 +373,9 @@ def main(argv=None) -> int:
                        help="attach the invariant monitor (conservation, "
                             "occupancy, liveness checks; bypasses cache; "
                             "see docs/robustness.md)")
-    p.add_argument("--span-sample", type=int, default=64, metavar="N",
-                   help="trace 1-in-N eligible requests (default 64)")
+    p.add_argument("--span-sample", type=int, default=None, metavar="N",
+                   help="with --trace-spans: trace 1-in-N eligible "
+                        "requests (default 64)")
     from repro.config import PREDICTORS
     p.add_argument("--predictor", default=None,
                    choices=list(PREDICTORS),
@@ -396,8 +396,9 @@ def main(argv=None) -> int:
     probe.add_argument("--trace-spans", metavar="PATH",
                        help="sample request-path spans to PATH (.jsonl; "
                             "bypasses cache; see docs/latency.md)")
-    p.add_argument("--span-sample", type=int, default=64, metavar="N",
-                   help="trace 1-in-N eligible requests (default 64)")
+    p.add_argument("--span-sample", type=int, default=None, metavar="N",
+                   help="with --trace-spans: trace 1-in-N eligible "
+                        "requests (default 64)")
     p.set_defaults(fn=cmd_standalone)
 
     p = sub.add_parser("compare", help="compare policies on one mix")
@@ -485,6 +486,13 @@ def main(argv=None) -> int:
     sub.choices["faults"].set_defaults(scale="test")
 
     args = ap.parse_args(argv)
+    if hasattr(args, "span_sample"):
+        if args.span_sample is None:
+            args.span_sample = 64
+        elif not args.trace_spans:
+            # a sampling rate without a recording would be ignored
+            sub.choices[args.cmd].error(
+                "--span-sample needs --trace-spans")
     if args.jobs is not None:
         # route every layer (run_many defaults, figure prefetches)
         # through the requested fan-out

@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from repro.analysis import experiments, tables
+from repro.exec import shared_cache
 
 
 def _bar(value: float, unit: float = 1.0, width: int = 40) -> str:
@@ -93,20 +94,25 @@ def main(argv: list[str] | None = None) -> int:
 
     targets = (TABLES + EXPERIMENTS if args.experiment == "all"
                else [args.experiment])
-    for t in targets:
-        if t == "table1":
-            print(render_table1(args.scale))
-        elif t == "table2":
-            print(render_table2(args.scale))
-        elif t == "table3":
-            print(render_table3())
-        elif t in EXPERIMENTS:
-            print(render_fig(t, args.scale, args.seed))
-        else:
-            print(f"unknown experiment {t!r}", file=sys.stderr)
-            return 2
-        print()
-    return 0
+    try:
+        for t in targets:
+            if t == "table1":
+                print(render_table1(args.scale))
+            elif t == "table2":
+                print(render_table2(args.scale))
+            elif t == "table3":
+                print(render_table3())
+            elif t in EXPERIMENTS:
+                print(render_fig(t, args.scale, args.seed))
+            else:
+                print(f"unknown experiment {t!r}", file=sys.stderr)
+                return 2
+            print()
+        return 0
+    finally:
+        # fold this run's counters into the store, as ``python -m
+        # repro`` does, so ``cache stats`` counts figure runs too
+        shared_cache().persist_stats()
 
 
 if __name__ == "__main__":

@@ -17,15 +17,7 @@ a per-entry issuable scan plus a per-entry retry-hint scan.  The batched
 path (default, see :mod:`repro.hotpath`) answers both questions in a
 *single* O(banks) pass: ``Bank.queued_r``/``queued_w`` mirror exactly
 the queue membership the legacy scans walked, so the candidate list,
-the selection, *and the retry tick* are all identical — the poll
-*cadence* is deliberately preserved, because each poll's position in
-the kernel's ``(time, seq)`` order decides whether it observes a
-same-tick enqueue or completion, making the re-poll chain semantically
-visible.  (A sharper hint that skipped the parked-writes re-polls was
-tried and measurably diverged the simulation; see
-:meth:`MemoryController._batched_poll`.)  The issue sequence, and
-therefore every simulated result, is unchanged; only the per-poll cost
-drops from O(queue) to O(banks).
+the selection, *and the retry tick* are all identical.
 
 SMS has its own twin of the fast path.  Its ``select`` is not pure (it
 releases batches and draws from its RNG), so it still runs on every
@@ -35,11 +27,31 @@ write questions and the scheduler's live ``held`` count replaces the
 per-batch ``pending_reads`` walk (:meth:`MemoryController._sms_candidates`,
 :meth:`MemoryController._sms_retry_hint`).
 
+Parked polls
+------------
+The poll *cadence* is part of the result: each poll's position in the
+kernel's ``(time, seq)`` order decides whether it observes a same-tick
+enqueue or completion, so the re-poll chain is semantically visible.
+(A sharper hint that skipped the parked-writes re-polls was tried and
+measurably diverged the simulation; see
+:meth:`MemoryController._batched_poll`.)  Both fast paths keep every
+poll of the chain where it is and stop paying for the ones that cannot
+do anything.  A no-op whose retry hint is already due would re-poll at
+``now + 1`` every tick; instead it *parks* (:meth:`MemoryController._park`)
+with the first tick its outcome can change — a bank it waits on frees
+up, capped at the next tREFI boundary.  Until then the event only
+re-arms through the kernel's exact next-tick re-arm
+(:meth:`repro.sim.engine.Simulator.rearm_next`), which costs nothing at
+ticks where nothing else runs.  An enqueue before the parked poll's
+position in a tick marks it dirty and it runs for real there; one after
+it cancels it and polls at ``now``, as with the literal chain.
+
 Each fast path is enabled only under the preconditions that make the
 equivalence provable (tFAW disabled — the default configuration — and
 either a queue-transparent FR-FCFS-family scheduler or exactly
-``SmsScheduler``); anything else takes the legacy path.  Bit-identity
-of the paths is enforced by ``tests/sim/test_hotpath_golden.py``.
+``SmsScheduler``); anything else takes the legacy path and the literal
+per-tick chain.  Bit-identity of the paths is enforced by
+``tests/sim/test_hotpath_golden.py`` and ``tests/dram/test_parked_poll.py``.
 """
 
 from __future__ import annotations
@@ -54,7 +66,7 @@ from repro.dram.schedulers import (CpuPriorityScheduler, DynPrioScheduler,
                                    FrFcfsScheduler, SmsScheduler)
 from repro.dram.timing import TimingTicks
 from repro.mem.request import MemRequest
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.stats import StatSet
 
 #: scheduler types whose ``select`` is pure and whose reads all live in
@@ -105,6 +117,11 @@ class MemoryController:
         self.bus_free_at = 0
         self._draining = False
         self._try_event = None
+        #: the tick a parked poll next really runs at (None: not parked)
+        #: and whether an enqueue landed before its position this tick
+        #: (see :meth:`_park`)
+        self._wake: Optional[int] = None
+        self._dirty = False
         #: rolling ACTIVATE timestamps for the tFAW constraint
         self._act_times: list[int] = []
         self.refreshes = 0
@@ -223,10 +240,16 @@ class MemoryController:
 
     def _kick(self, t: int) -> None:
         t = max(t, self.sim.now)
-        if self._try_event is not None and not self._try_event.cancelled:
-            if self._try_event.time <= t:
+        ev = self._try_event
+        if ev is not None and not ev.cancelled:
+            if ev.time <= t:
+                if self._wake is not None:
+                    # the parked poll has not run this tick yet: it must
+                    # run for real at its own position
+                    self._dirty = True
                 return
-            self._try_event.cancel()
+            ev.cancel()
+            self._wake = None
         # closure-free: ``at_call`` with the plain function avoids a
         # bound-method allocation per (re)arm; profiling still keys it
         # as ``MemoryController._try_issue`` via ``__qualname__``
@@ -276,6 +299,12 @@ class MemoryController:
             self._draining = False
 
     def _try_issue(self) -> None:
+        if self._wake is not None:
+            if self.sim.now < self._wake and not self._dirty:
+                self.sim.rearm_next(self._try_event)     # still a no-op
+                return
+            self._wake = None
+            self._dirty = False
         self._try_event = None
         self._apply_refreshes()
         self._update_drain()
@@ -283,18 +312,26 @@ class MemoryController:
             candidates, hint = self._batched_poll()
             if candidates is None:    # the common no-op poll, O(banks)
                 if hint is not None:
-                    now = self.sim.now
-                    self._kick(hint if hint > now else now + 1)
+                    if hint > self.sim.now:
+                        self._kick(hint)
+                    else:             # re-polls every tick: park it
+                        self._park(self._read_wake())
                 return
+            sel = self.scheduler.select(self, candidates)
         elif self._fast_sms:
-            candidates = self._sms_candidates()
+            sel = self.scheduler.select(self, self._sms_candidates())
+            if sel is None:
+                hint = self._sms_retry_hint()
+                if hint is not None:
+                    if hint > self.sim.now:
+                        self._kick(hint)
+                    else:             # re-polls every tick: park it
+                        self._park(self._sms_wake())
+                return
         else:
-            candidates = self._scan_candidates()
-
-        sel = self.scheduler.select(self, candidates)
+            sel = self.scheduler.select(self, self._scan_candidates())
         if sel is None:
-            hint = (self._sms_retry_hint() if self._fast_sms
-                    else self._retry_hint())
+            hint = self._retry_hint()
             if hint is not None:
                 self._kick(max(hint, self.sim.now + 1))
             return
@@ -307,6 +344,33 @@ class MemoryController:
                 pass                   # SMS batch entries bypass read_q
         self._service(sel)
         self._kick(self.sim.now + DRAM_CYCLE_TICKS)
+
+    def _park(self, wake: int) -> None:
+        """Re-arm a no-op poll that would re-poll every tick until
+        ``wake``, the first tick its outcome can change.
+
+        Until then each poll reads nothing that changes: no bank it
+        waits on frees up, ``_apply_refreshes`` crosses no tREFI
+        boundary (the wake is capped at the next one, where the lazy
+        refresh turns the chain into a jump) and only an enqueue, which
+        calls :meth:`_kick`, touches the queues.  So the parked event
+        only re-arms through :meth:`Simulator.rearm_next`, which keeps
+        the ``(time, seq)`` position of every poll of the chain: the
+        poll at ``wake``, and any an enqueue marks dirty, run for real
+        exactly where the literal chain runs them.  One fresh
+        :class:`Event` per park, reused only across this park's
+        re-arms: :meth:`_kick` may cancel it while it sits in a bucket.
+        """
+        sim = self.sim
+        now = sim.now
+        t_refi = self.timing.t_refi
+        if t_refi > 0:
+            wake = min(wake, (now // t_refi + 1) * t_refi)
+        self._wake = wake
+        sim.ensure_tick(wake)
+        ev = Event(now + 1, 0, _TRY_ISSUE, self, None)
+        sim.rearm_next(ev)
+        self._try_event = ev
 
     def _scan_candidates(self) -> list[PendingReq]:
         """The per-entry candidate scan: issuable writes while
@@ -346,7 +410,10 @@ class MemoryController:
         that eventually issues can run before or after a same-tick
         enqueue or completion depending on *when it was scheduled* —
         skipping the chain was tried and measurably diverged full-system
-        runs.  Cheapening each poll is safe; moving it is not.
+        runs.  Cheapening each poll is safe; moving it is not.  So the
+        caller *parks* the chain (:meth:`_park`, wake :meth:`_read_wake`):
+        every re-poll keeps its position and the ones before the wake
+        cost nothing where no other event runs.
 
         Preconditions (``self._fast``): tFAW disabled (``_issuable``
         degenerates to the ready-bank filter) and a scheduler that
@@ -385,6 +452,13 @@ class MemoryController:
             if out:
                 return out, None
         return None, best
+
+    def _read_wake(self) -> int:
+        """When :meth:`_batched_poll` answers ``(None, hint <= now)``
+        reads wait in ``read_q`` while a write bank is ready below the
+        drain watermark: the poll stays a no-op until a bank holding a
+        read frees up."""
+        return min(b.ready_at for b in self.banks if b.queued_r)
 
     def _sms_candidates(self) -> list[PendingReq]:
         """The legacy candidate list under SMS, from counters.
@@ -444,6 +518,31 @@ class MemoryController:
         if hint is None and sched.held:
             hint = self.sim.now + 1
         return hint
+
+    def _sms_wake(self) -> int:
+        """The first tick an SMS no-op re-poll can change.
+
+        A no-op with a due hint leaves a non-empty current batch: one it
+        found, or the one ``_next_batch`` just released (with no batch
+        at all no read is held, every ready write is a candidate, and a
+        no-op's hint is a write bank's future ``ready_at``).  So each
+        re-poll takes ``select``'s pure branch — no batch release, no
+        RNG draw — and stays a no-op until the current batch's head bank
+        or a released batch's head bank frees up, or, while draining, a
+        bank holding writes does (writes are no candidates otherwise, as
+        reads are held)."""
+        sched = self.scheduler
+        banks = self.banks
+        wake = banks[sched._current.entries[0].bank].ready_at
+        for batch in sched._ready:
+            r = banks[batch.entries[0].bank].ready_at
+            if r < wake:
+                wake = r
+        if self._draining:
+            for b in banks:
+                if b.queued_w and b.ready_at < wake:
+                    wake = b.ready_at
+        return wake
 
     def _retry_hint(self) -> Optional[int]:
         if self.queue_depth() == 0:
@@ -510,7 +609,10 @@ class MemoryController:
         batches entry by entry and ``sms_held`` is its live
         :attr:`~SmsScheduler.held` count, which the SMS fast path trusts
         instead of walking; the two must agree.  Both are ``None`` for
-        other schedulers.  Read-only.
+        other schedulers.  ``parked_wake`` is the tick a parked poll
+        next really runs at (``None`` when not parked); the poll runs
+        by then, so a parked wake in the past is a stalled channel.
+        Read-only.
         """
         now = self.sim.now
         oldest = min((e.arrival for e in self.read_q), default=None)
@@ -532,7 +634,8 @@ class MemoryController:
                 "bank_queued": sum(b.queued for b in self.banks),
                 "oldest_age": None if oldest is None else now - oldest,
                 "sms_walked": walked,
-                "sms_held": held}
+                "sms_held": held,
+                "parked_wake": self._wake}
 
     def bytes_served(self, side: str, write: bool) -> int:
         return self._served[(side, write)].value * self.line_bytes

@@ -18,7 +18,8 @@ mshr                   LLC MSHR occupancy <= capacity; no entry outlives
 dram                   per-bank queued accounting matches the queues;
                        SMS's live read count matches its batches;
                        read-queue population <= LLC MSHR capacity (every
-                       DRAM read is an LLC fill); no transaction ages out
+                       DRAM read is an LLC fill); no transaction ages
+                       out; no poll stays parked past its wake tick
 gpu_occupancy          0 <= outstanding <= mshr_entries; an "mshr" stall
                        always holds a deferred access to retry
 cpu_occupancy          per-core MLP / write-buffer / prefetcher bounds
@@ -319,6 +320,13 @@ class InvariantMonitor:
                            f"mc{mc.channel_id} SMS live read count "
                            f"({state['sms_held']}) disagrees with its "
                            f"batches ({state['sms_walked']} entries)")
+            wake = state["parked_wake"]
+            if wake is not None and wake < now:
+                self._fail("dram",
+                           f"mc{mc.channel_id} poll still parked at tick "
+                           f"{now:,}, past its wake tick {wake:,}: the "
+                           "run loop never visited the wake, so the "
+                           "channel stalls")
             age = state["oldest_age"]
             if age is not None and age > self.max_inflight_age:
                 self._fail("dram",

@@ -18,6 +18,11 @@ FR-FCFS-family schedulers and one for ``SmsScheduler`` (counters stand
 in for its per-batch walks); each engages only where its equivalence
 is provable (tFAW disabled, an exact scheduler type), so another
 scheduler or tFAW takes the legacy path whatever the switch says.
+Both twins also *park* a no-op poll that would re-poll every tick: it
+keeps its place in every tick of the chain through the kernel's exact
+next-tick re-arm, but runs for real only at the first tick its outcome
+can change.  The legacy path keeps the literal per-tick chain, which is
+what the equivalence tests hold the parked one to.
 
 Components sample :func:`use_batching` **at construction time** (the
 choice is per-system, not per-call), so flipping the switch never

@@ -29,14 +29,31 @@ This is the hottest loop in the package, and it is hand-tuned:
   place so long runs with heavy cancellation (DRAM ``_kick`` retimers, ATU
   gating) stay bounded in memory.
 
+* **Exact next-tick re-arm.**  A component that polls once per tick
+  while nothing it reads can change (the DRAM controller waiting on a
+  busy bank) re-arms through :meth:`Simulator.rearm_next`: the event
+  takes the position in tick ``now + 1`` that a literal
+  ``at_call(now + 1, ...)`` would give it, but when that tick has no
+  bucket it *floats* instead of creating one.  The run loop lands
+  floating events into the next bucket it pops — first, if that
+  bucket is ``now + 1`` (so it was created after the re-arm), else
+  after the bucket's initial contents and before any same-tick
+  appends, which is where the chain of literal re-arms through the
+  unvisited ticks would have put it.  Ticks that would hold nothing
+  but such polls are never visited; the caller names the tick its
+  poll must really run at with :meth:`Simulator.ensure_tick`.
+  ``tests/sim/test_engine_golden.py`` holds the order to the
+  literal per-tick chain of :class:`ReferenceSimulator`.
+
 * **Opt-in profiling.**  ``enable_profiling()`` attaches a
   :class:`repro.prof.KernelProfile`; the default path checks one attribute
   per ``run()`` call — per-event cost is strictly zero when disabled.
 
 :class:`ReferenceSimulator` preserves the previous single-heap kernel
-verbatim.  It is not used by the simulator itself; it exists so the
-equivalence tests and ``scripts/bench_kernel.py`` can compare order and
-speed against the pre-calendar-queue implementation.
+verbatim, with ``rearm_next`` as a literal re-push at ``now + 1``.  It
+is not used by the simulator itself; it exists so the equivalence tests
+and ``scripts/bench_kernel.py`` can compare order and speed against the
+pre-calendar-queue implementation.
 """
 
 from __future__ import annotations
@@ -88,6 +105,8 @@ class Simulator:
     * ``at_call(time, fn, arg)`` / ``after_call(delay, fn, arg)`` — call
       ``fn(arg)``; the pair is stored in the event's slots, so hot paths
       avoid allocating a closure per scheduled callback.
+    * ``rearm_next(ev)`` / ``ensure_tick(time)`` — the exact next-tick
+      re-arm of a per-tick poll (module docstring).
     """
 
     def __init__(self) -> None:
@@ -98,9 +117,13 @@ class Simulator:
         self._buckets: dict[int, list[Event]] = {}
         #: heap of the distinct tick values present in ``_buckets``
         self._times: list[int] = []
+        #: events re-armed by :meth:`rearm_next` into tick ``now + 1``
+        #: while it had no bucket, in re-arm order; landed by the run
+        #: loop into the next bucket it pops
+        self._floats: list[Event] = []
         self._live = 0                  # scheduled, not cancelled, not run
         self._cancelled = 0             # cancelled but still enqueued
-        self._size = 0                  # total enqueued entries
+        self._size = 0                  # enqueued entries, floats included
         #: idle-epoch fast-forward accounting: the run loop advances the
         #: clock bucket-to-bucket, so any gap between consecutive event
         #: ticks is skipped in one heap pop.  ``ff_jumps`` counts the
@@ -184,6 +207,71 @@ class Simulator:
         self._live += 1
         return ev
 
+    # -- the exact next-tick re-arm ----------------------------------------
+
+    def rearm_next(self, ev: Event) -> None:
+        """Re-arm ``ev`` at ``now + 1``, where ``at_call(now + 1, ...)``
+        would put it, without creating that tick's bucket.
+
+        ``ev`` is the event that has just run, or a fresh :class:`Event`
+        never scheduled — never one that may still sit in a bucket, since
+        it would then run twice.  When tick ``now + 1`` has a bucket the
+        event is appended to it; otherwise it floats and the run loop
+        lands it into the next bucket it pops (see the module docstring).
+        A floating event that reaches no visited tick never runs, so the
+        caller :meth:`ensure_tick`\\ s the tick it must run at.
+        """
+        t = self.now + 1
+        self._seq += 1
+        ev.time = t
+        ev.seq = self._seq
+        ev.sim = self
+        b = self._buckets.get(t)
+        if b is None:
+            self._floats.append(ev)
+        else:
+            b.append(ev)
+        self._size += 1
+        self._live += 1
+
+    def ensure_tick(self, time: int) -> None:
+        """Make the run loop visit tick ``time`` even if no event lands
+        there: floating events are landed into it.  An empty bucket is
+        skipped without moving the clock."""
+        if time < self.now:
+            raise ValueError(f"ensure a past tick: {time} < {self.now}")
+        if time not in self._buckets:
+            self._buckets[time] = []
+            heapq.heappush(self._times, time)
+
+    def _land(self, bucket: list[Event], t: int) -> None:
+        """Move the floating events into ``bucket`` (tick ``t > now``).
+
+        Tick ``now + 1`` got its bucket after the floats' re-arm, so they
+        go first; a later bucket held all of its initial contents before
+        the unvisited ticks' re-arms, so they go after them.
+        """
+        floats = self._floats
+        for ev in floats:
+            ev.time = t
+        if t == self.now + 1:
+            bucket[:0] = floats
+        else:
+            bucket += floats
+        floats.clear()
+
+    def _settle(self, until: int) -> None:
+        """Carry the floats through the unvisited ticks up to ``until``
+        (> now): their last re-arm, at ``until``, appends them to tick
+        ``until + 1``'s bucket if it has one, else they float on."""
+        t = until + 1
+        b = self._buckets.get(t)
+        if b is not None:
+            self._land(b, t)
+        else:
+            for ev in self._floats:
+                ev.time = t
+
     # -- bookkeeping ------------------------------------------------------
 
     def pending(self) -> int:
@@ -227,28 +315,23 @@ class Simulator:
     def _maybe_compact(self) -> None:
         """Rebuild the queue without cancelled entries.
 
-        Called only from safe points (between buckets in the run loop and
-        from schedule calls outside it), never while a bucket is being
-        iterated.  Rebuilds in place so the run loop's local aliases of
-        ``_buckets``/``_times`` stay valid.
+        Called only from safe points (between buckets in the run loop),
+        never while a bucket is being iterated.  An emptied bucket keeps
+        its tick — it may be an :meth:`ensure_tick` wake — and the run
+        loop skips it without moving the clock, just as if it were gone.
         """
         if self._cancelled < _COMPACT_MIN or \
                 self._cancelled * 2 <= self._size:
             return
-        buckets = self._buckets
         size = 0
-        for t in list(buckets):
-            b = buckets[t]
+        for b in self._buckets.values():
             keep = [ev for ev in b if not ev.cancelled]
-            if not keep:
-                del buckets[t]
-            else:
-                if len(keep) != len(b):
-                    buckets[t] = keep
-                size += len(keep)
-        self._times[:] = buckets.keys()
-        heapq.heapify(self._times)
-        self._size = size
+            if len(keep) != len(b):
+                b[:] = keep
+            size += len(keep)
+        floats = self._floats
+        floats[:] = [ev for ev in floats if not ev.cancelled]
+        self._size = size + len(floats)
         self._cancelled = 0
 
     # -- the run loop -----------------------------------------------------
@@ -271,15 +354,16 @@ class Simulator:
         self._stop = False
         buckets = self._buckets
         times = self._times
+        floats = self._floats
         heappop = heapq.heappop
         no_arg = _NO_ARG
         while times:
             if self._cancelled > _COMPACT_MIN:
                 self._maybe_compact()
-                if not times:
-                    break
             t = times[0]
             if until is not None and t > until:
+                if floats and until > self.now:
+                    self._settle(until)
                 if until > self.now + 1:
                     self.ff_jumps += 1
                     self.ff_ticks += until - self.now - 1
@@ -290,6 +374,11 @@ class Simulator:
             # scheduling at the current tick appends to it and runs in
             # this same pass, in seq order
             bucket = buckets[t]
+            if floats and t > self.now:
+                self._land(bucket, t)
+            if not bucket:            # emptied by compaction, or a wake
+                del buckets[t]        # nothing landed in: not a visit
+                continue
             if t > self.now + 1:      # idle epoch: skipped in one pop
                 self.ff_jumps += 1
                 self.ff_ticks += t - self.now - 1
@@ -330,6 +419,8 @@ class Simulator:
             del buckets[t]
         if (until is not None and not self._stop and self.now < until):
             # queue drained before the horizon: advance the clock to it
+            if floats:
+                self._settle(until)
             if until > self.now + 1:
                 self.ff_jumps += 1
                 self.ff_ticks += int(until) - self.now - 1
@@ -351,6 +442,7 @@ class Simulator:
         self._stop = False
         buckets = self._buckets
         times = self._times
+        floats = self._floats
         heappop = heapq.heappop
         no_arg = _NO_ARG
         try:
@@ -358,10 +450,10 @@ class Simulator:
                 if self._cancelled > _COMPACT_MIN:
                     prof.compactions_before = self._cancelled
                     self._maybe_compact()
-                    if not times:
-                        break
                 t = times[0]
                 if until is not None and t > until:
+                    if floats and until > self.now:
+                        self._settle(until)
                     if until > self.now + 1:
                         self.ff_jumps += 1
                         self.ff_ticks += until - self.now - 1
@@ -369,6 +461,11 @@ class Simulator:
                     return executed
                 heappop(times)
                 bucket = buckets[t]
+                if floats and t > self.now:
+                    self._land(bucket, t)
+                if not bucket:
+                    del buckets[t]
+                    continue
                 if t > self.now + 1:
                     self.ff_jumps += 1
                     self.ff_ticks += t - self.now - 1
@@ -413,6 +510,8 @@ class Simulator:
                 self._cancelled -= ncancelled
                 del buckets[t]
             if (until is not None and not self._stop and self.now < until):
+                if floats:
+                    self._settle(until)
                 if until > self.now + 1:
                     self.ff_jumps += 1
                     self.ff_ticks += int(until) - self.now - 1
@@ -428,10 +527,11 @@ class ReferenceSimulator:
     """The pre-calendar-queue kernel: one global binary heap of events.
 
     Kept verbatim (modulo the ``at_call``/``after_call`` extension, which
-    the rest of the package now schedules through) as the golden
-    reference: the equivalence tests prove the calendar-queue kernel
-    executes events in exactly this kernel's ``(time, seq)`` order, and
-    ``scripts/bench_kernel.py`` measures speedup against it.
+    the rest of the package now schedules through, and ``rearm_next``/
+    ``ensure_tick``, here the literal per-tick re-push and a no-op) as
+    the golden reference: the equivalence tests prove the calendar-queue
+    kernel executes events in exactly this kernel's ``(time, seq)``
+    order, and ``scripts/bench_kernel.py`` measures speedup against it.
     """
 
     def __init__(self) -> None:
@@ -467,6 +567,16 @@ class ReferenceSimulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         return self.at_call(self.now + int(delay), fn, arg)
+
+    def rearm_next(self, ev: Event) -> None:
+        """The literal re-arm: push ``ev`` again at ``now + 1``."""
+        self._seq += 1
+        ev.time = self.now + 1
+        ev.seq = self._seq
+        heapq.heappush(self._queue, ev)
+
+    def ensure_tick(self, time: int) -> None:
+        """Nothing to do: every tick an event sits at is visited."""
 
     def pending(self) -> int:
         return sum(1 for ev in self._queue if not ev.cancelled)

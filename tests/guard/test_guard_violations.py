@@ -75,6 +75,52 @@ def test_desynced_sms_read_count_trips_dram_check():
     assert "SMS live read count" in exc.value.message
 
 
+def test_missed_dram_wake_trips_dram_check():
+    """A parked DRAM poll runs for real at its wake tick; one still
+    parked after it means the run loop never visited the wake, and the
+    channel would stall in silence."""
+    m = mix("M13")
+    cfg = default_config(scale="smoke", n_cpus=m.n_cpus, seed=1)
+    monitor = InvariantMonitor(interval_ticks=1024)
+    system = HeterogeneousSystem(cfg, m, make_policy("baseline"),
+                                 monitor=monitor)
+    mc = system.dram.controllers[0]
+
+    def miss_wake():
+        mc._wake = system.sim.now - 1
+        monitor._check()
+
+    system.sim.at(20_000, miss_wake)
+    with pytest.raises(InvariantViolation) as exc:
+        system.run()
+    assert exc.value.check == "dram"
+    assert "past its wake tick" in exc.value.message
+
+
+def test_kernel_check_holds_while_polls_float():
+    """Re-armed DRAM polls float between visited ticks; the kernel
+    counts them in ``_size`` and ``_live``, so ``_check_kernel`` holds
+    right after each one starts floating."""
+    m = mix("M13")
+    cfg = default_config(scale="smoke", n_cpus=m.n_cpus, seed=1)
+    monitor = InvariantMonitor()
+    system = HeterogeneousSystem(cfg, m, make_policy("baseline"),
+                                 monitor=monitor)
+    sim = system.sim
+    rearm = sim.rearm_next
+    seen = {"floating": 0}
+
+    def checked(ev):
+        rearm(ev)
+        if sim._floats:
+            seen["floating"] += 1
+            monitor._check_kernel(sim)
+
+    sim.rearm_next = checked
+    system.run()
+    assert seen["floating"] > 0
+
+
 def test_violation_carries_diagnostic_dump():
     plan = FaultPlan(RequestFault("drop", side="cpu", nth=10))
     monitor = InvariantMonitor(interval_ticks=1024,

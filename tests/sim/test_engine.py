@@ -235,6 +235,37 @@ def test_compaction_preserves_order_of_survivors():
     assert (sim._size, sim._cancelled, sim.pending()) == (0, 0, 0)
 
 
+def test_compaction_keeps_an_emptied_wake_bucket():
+    """An ``ensure_tick`` wake survives compaction even when every
+    event at that tick was cancelled: a floating re-arm still lands
+    there and runs at the wake."""
+    from repro.sim import engine
+    sim = Simulator()
+    wake = 50
+    log = []
+    ev = engine.Event(0, 0, None, None, None)
+
+    def poll(_arg):
+        if sim.now < wake:
+            sim.rearm_next(ev)
+        else:
+            log.append(sim.now)
+
+    ev.fn = poll
+    sim.ensure_tick(wake)
+    doomed = [sim.at(wake, lambda: None)
+              for _ in range(engine._COMPACT_MIN * 3)]
+    sim.at(1, lambda: [d.cancel() for d in doomed])
+    sim.at(2, lambda: None)
+    sim.rearm_next(ev)             # into tick 1, after the cancels
+    sim.run()
+    assert log == [wake]
+    assert (sim._size, sim._cancelled, sim.pending()) == (0, 0, 0)
+    sim.ensure_tick(wake + 50)     # nothing lands: not a visit
+    sim.run()
+    assert sim.now == wake
+
+
 def test_max_events_zero_runs_one_event():
     # old-kernel edge case, preserved: max_events < 1 still runs one event
     sim = Simulator()

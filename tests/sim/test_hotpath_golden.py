@@ -18,6 +18,10 @@ The SMS pair (``sms-0.9``, ``sms-0``) takes its own DRAM fast path
 (``MemoryController._sms_candidates``/``_sms_retry_hint``), so it gets
 its own gate: M13 at ``smoke``, where SMS's no-op polls dominate, with
 a count of fast-path polls proving the batched run really took it.
+
+Both gates also count parked polls (``MemoryController._park``): the
+batched runs must park their per-tick re-polls and the legacy runs,
+which keep the literal per-tick chain, must not.
 """
 
 import dataclasses
@@ -32,6 +36,18 @@ from repro.mixes import mix
 from repro.policies import make_policy
 from repro.sim.runner import run_system
 from repro.telemetry import Telemetry
+
+
+def _count_parks(monkeypatch) -> dict:
+    parks = {"n": 0}
+    park = MemoryController._park
+
+    def counted(mc, wake):
+        parks["n"] += 1
+        return park(mc, wake)
+
+    monkeypatch.setattr(MemoryController, "_park", counted)
+    return parks
 
 
 def _run(mix_name: str, seed: int, batching: bool, jsonl_path,
@@ -55,12 +71,17 @@ def _assert_identical(on, off, on_path, off_path):
 
 @pytest.mark.parametrize("mix_name,seed", [("M1", 1), ("M1", 2),
                                            ("M7", 1), ("M7", 2)])
-def test_batched_run_bit_identical_to_legacy(mix_name, seed, tmp_path):
+def test_batched_run_bit_identical_to_legacy(mix_name, seed, tmp_path,
+                                             monkeypatch):
+    parks = _count_parks(monkeypatch)
     on_path = tmp_path / f"{mix_name}-{seed}-on.jsonl"
     off_path = tmp_path / f"{mix_name}-{seed}-off.jsonl"
     on = _run(mix_name, seed, True, on_path)
+    parked = parks["n"]
     off = _run(mix_name, seed, False, off_path)
     _assert_identical(on, off, on_path, off_path)
+    assert parked > 0, "the batched run never parked a poll"
+    assert parks["n"] == parked, "the legacy run parked a poll"
 
 
 @pytest.mark.parametrize("policy", ["sms-0.9", "sms-0"])
@@ -74,12 +95,16 @@ def test_sms_batched_run_bit_identical_to_legacy(policy, tmp_path,
         return fast_candidates(mc)
 
     monkeypatch.setattr(MemoryController, "_sms_candidates", counted)
+    parks = _count_parks(monkeypatch)
     on_path = tmp_path / f"{policy}-on.jsonl"
     off_path = tmp_path / f"{policy}-off.jsonl"
     on = _run("M13", 1, True, on_path, policy=policy, scale="smoke")
     fast_polls = polls["fast"]
+    parked = parks["n"]
     off = _run("M13", 1, False, off_path, policy=policy, scale="smoke")
 
     assert fast_polls > 0, "the batched run never took the SMS fast path"
     assert polls["fast"] == fast_polls, "the legacy run took the fast path"
     _assert_identical(on, off, on_path, off_path)
+    assert parked > 0, "the batched run never parked a poll"
+    assert parks["n"] == parked, "the legacy run parked a poll"

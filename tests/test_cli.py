@@ -56,6 +56,31 @@ def test_probe_flags_refuse_combinations(argv, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []       # nothing ran or wrote
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--mix", "W8", "--span-sample", "8"],
+    ["standalone", "--spec", "403", "--span-sample", "8"],
+    ["run", "--mix", "W8", "--span-sample", "8", "--guard"],
+])
+def test_span_sample_needs_trace_spans(argv, tmp_path, monkeypatch,
+                                       capsys):
+    """A sampling rate with no span recording is refused up front,
+    naming both flags, rather than silently ignored."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--scale", "smoke"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--span-sample" in err and "--trace-spans" in err
+    assert list(tmp_path.iterdir()) == []       # nothing ran or wrote
+
+
+def test_span_sample_applies_to_trace_spans(tmp_path, capsys):
+    spans = tmp_path / "s.jsonl"
+    assert main(["standalone", "--spec", "403", "--scale", "smoke",
+                 "--trace-spans", str(spans), "--span-sample", "8"]) == 0
+    assert spans.stat().st_size > 0
+
+
 def test_run_prints_result(capsys):
     assert main(["run", "--mix", "W8", "--policy", "baseline",
                  "--scale", "smoke"]) == 0

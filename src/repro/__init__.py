@@ -16,8 +16,9 @@ the paper's mechanism, usable standalone.
 pluggable frame-time predictor seam behind the FRPU
 (docs/predictors.md); ``compare_predictors`` runs the head-to-head
 evaluation suite.
-``SpanTracer`` / ``trace_mix`` / ``trace_standalone`` — request-path
-span tracing with latency percentiles (docs/latency.md).
+``SpanTracer`` / ``Telemetry`` — request-path span tracing with
+latency percentiles (docs/latency.md) and control-loop recording
+(docs/telemetry.md); attach them through ``run_system``.
 """
 
 from repro.config import (SystemConfig, Scale, SCALES, default_config,
@@ -39,8 +40,8 @@ from repro.sim.system import HeterogeneousSystem
 from repro.analysis.diagnostics import Probe
 from repro.analysis.energy import EnergyParams, EnergyReport, price_run
 from repro.analysis.stats import Replicated, replicate, summarize
-from repro.spans import SpanTracer, trace_mix, trace_standalone
-from repro.telemetry import Telemetry, record_mix, record_standalone
+from repro.spans import SpanTracer
+from repro.telemetry import Telemetry
 from repro.tracing import LlcTrace, TraceRecorder, TraceReplayer
 
 __version__ = "1.0.0"
@@ -59,8 +60,7 @@ __all__ = [
     "alone_ipcs", "weighted_speedup_for", "HeterogeneousSystem",
     "Probe", "EnergyParams", "EnergyReport", "price_run",
     "Replicated", "replicate", "summarize",
-    "SpanTracer", "trace_mix", "trace_standalone",
-    "Telemetry", "record_mix", "record_standalone",
+    "SpanTracer", "Telemetry",
     "LlcTrace", "TraceRecorder", "TraceReplayer",
     "__version__",
 ]

@@ -35,10 +35,10 @@ import os
 import sys
 import time
 
-from repro import (MIXES_M, MIXES_W, POLICY_NAMES, mix, run_mix,
-                   standalone_cpu, standalone_gpu, weighted_speedup_for)
+from repro import MIXES_M, MIXES_W, POLICY_NAMES, mix, weighted_speedup_for
 from repro.cpu.spec import SPEC_PROFILES
-from repro.exec import shared_cache
+from repro.exec import (mix_spec, run_cached, shared_cache,
+                        standalone_cpu_spec, standalone_gpu_spec)
 from repro.gpu.workloads import GAME_ORDER, workload_for
 
 
@@ -68,59 +68,60 @@ def _print_result(r, scale: str) -> None:
         print(f"  FRPU{name} mean |error|: {mean_abs:.2f}%")
 
 
-def _print_telemetry(tel, path: str) -> None:
-    counts = ", ".join(f"{t}: {n}" for t, n in tel.counts().items())
-    print(f"  telemetry: {tel.count()} records -> {path}  ({counts})")
+def _probed_run(args, spec):
+    """Run ``spec`` with the probe that ``args``'s probe flag selects.
+
+    Returns ``(result, report)``, ``report`` being the probe's printout,
+    or ``None`` when no probe flag is set.  A probed run bypasses the
+    result cache: the probe's output is a side effect a cache hit could
+    not replay.
+    """
+    probes = {}
+    if args.telemetry:
+        from repro.telemetry import Telemetry
+        probes["telemetry"] = Telemetry.to_file(args.telemetry)
+    elif args.trace_spans:
+        from repro.spans import SpanTracer
+        probes["tracer"] = SpanTracer(sample_every=args.span_sample,
+                                      path=args.trace_spans)
+    elif getattr(args, "guard", False):
+        from repro.guard import InvariantMonitor
+        probes["monitor"] = InvariantMonitor()
+    elif not args.profile:
+        return None
+    from repro.policies import make_policy
+    from repro.sim.metrics import collect
+    from repro.sim.system import HeterogeneousSystem
+    system = HeterogeneousSystem(spec.resolved_cfg(), spec.resolved_mix(),
+                                 make_policy(spec.policy), **probes)
+    prof = system.sim.enable_profiling() if args.profile else None
+    system.run()
+    if prof is not None:
+        report = prof.report()
+    elif args.telemetry:
+        tel = system.telemetry
+        tel.close()
+        counts = ", ".join(f"{t}: {n}" for t, n in tel.counts().items())
+        report = (f"  telemetry: {tel.count()} records -> "
+                  f"{args.telemetry}  ({counts})")
+    elif args.trace_spans:
+        tracer = system.tracer
+        tracer.close()
+        report = (f"  spans: {tracer.finished} -> {args.trace_spans}\n"
+                  + tracer.format_report())
+    else:
+        report = f"  {system.monitor.report().format()}"
+    return collect(system), report
 
 
 def cmd_run(args) -> int:
     t0 = time.time()
-    if args.profile:
-        from repro.prof import profile_mix
-        r, prof = profile_mix(args.mix, args.policy, scale=args.scale,
-                              seed=args.seed, predictor=args.predictor)
-        _print_result(r, args.scale)
-        print(f"  wall time: {time.time()-t0:.1f}s")
-        print(prof.report())
-        return 0
-    if args.trace_spans:
-        from repro.spans import trace_mix
-        r, tracer = trace_mix(args.mix, args.policy, scale=args.scale,
-                              seed=args.seed, path=args.trace_spans,
-                              sample_every=args.span_sample,
-                              predictor=args.predictor)
-        _print_result(r, args.scale)
-        print(f"  spans: {tracer.finished} -> {args.trace_spans}")
-        print(f"  wall time: {time.time()-t0:.1f}s")
-        print(tracer.format_report())
-        return 0
-    if args.telemetry:
-        from repro.telemetry import record_mix
-        r, tel = record_mix(args.mix, args.policy, scale=args.scale,
-                            seed=args.seed, path=args.telemetry,
-                            predictor=args.predictor)
-        _print_result(r, args.scale)
-        _print_telemetry(tel, args.telemetry)
-        print(f"  wall time: {time.time()-t0:.1f}s")
-        return 0
-    if args.guard:
-        from repro.config import default_config
-        from repro.guard import InvariantMonitor
-        from repro.sim.runner import run_system
-        m = mix(args.mix)
-        cfg = default_config(scale=args.scale, n_cpus=m.n_cpus,
-                             seed=args.seed)
-        if args.predictor is not None:
-            cfg = cfg.with_qos(predictor=args.predictor)
-        monitor = InvariantMonitor()
-        r = run_system(cfg, m, args.policy, monitor=monitor)
-        _print_result(r, args.scale)
-        print(f"  {monitor.report().format()}")
-        print(f"  wall time: {time.time()-t0:.1f}s")
-        return 0
-    r = run_mix(args.mix, args.policy, scale=args.scale, seed=args.seed,
-                predictor=args.predictor)
+    spec = mix_spec(args.mix, args.policy, args.scale, args.seed,
+                    predictor=args.predictor)
+    r, report = _probed_run(args, spec) or (spec.run(), None)
     _print_result(r, args.scale)
+    if report:
+        print(report)
     print(f"  wall time: {time.time()-t0:.1f}s")
     return 0
 
@@ -129,29 +130,10 @@ def cmd_standalone(args) -> int:
     if not args.game and not args.spec:
         print("need --game or --spec", file=sys.stderr)
         return 2
-    tel = None
-    tracer = None
-    if args.profile:
-        from repro.prof import profile_standalone
-        r, prof = profile_standalone(game=args.game, spec=args.spec,
-                                     scale=args.scale, seed=args.seed)
-    elif args.trace_spans:
-        from repro.spans import trace_standalone
-        prof = None
-        r, tracer = trace_standalone(game=args.game, spec=args.spec,
-                                     scale=args.scale, seed=args.seed,
-                                     path=args.trace_spans,
-                                     sample_every=args.span_sample)
-    elif args.telemetry:
-        from repro.telemetry import record_standalone
-        prof = None
-        r, tel = record_standalone(game=args.game, spec=args.spec,
-                                   scale=args.scale, seed=args.seed,
-                                   path=args.telemetry)
-    else:
-        prof = None
-        r = standalone_gpu(args.game, args.scale, args.seed) if args.game \
-            else standalone_cpu(args.spec, args.scale, args.seed)
+    spec = standalone_gpu_spec(args.game, args.scale, args.seed) \
+        if args.game else \
+        standalone_cpu_spec(args.spec, args.scale, args.seed)
+    r, report = _probed_run(args, spec) or (run_cached(spec), None)
     if args.game:
         w = workload_for(args.game)
         print(f"{args.game}: {r.fps:.1f} FPS measured "
@@ -159,13 +141,8 @@ def cmd_standalone(args) -> int:
     else:
         print(f"SPEC {args.spec}: IPC {r.cpu_ipcs[0]:.3f}, "
               f"LLC accesses {r.llc['cpu_accesses']:,}")
-    if prof is not None:
-        print(prof.report())
-    if tel is not None:
-        _print_telemetry(tel, args.telemetry)
-    if tracer is not None:
-        print(f"  spans: {tracer.finished} -> {args.trace_spans}")
-        print(tracer.format_report())
+    if report:
+        print(report)
     return 0
 
 
@@ -182,7 +159,7 @@ def _progress(outcome, index: int, total: int) -> None:
 
 
 def cmd_compare(args) -> int:
-    from repro.exec import mix_spec, run_many
+    from repro.exec import run_many
     policies = args.policies.split(",")
     specs = [mix_spec(args.mix, pol, args.scale, args.seed)
              for pol in policies]

@@ -386,7 +386,7 @@ class ResultCache:
         store.  The read-merge-write runs under :meth:`_stats_lock`, so
         concurrent writers serialise instead of losing each other's
         deltas (pinned by the two-writer race test in
-        ``tests/metrics/test_persist_stats.py``); the write itself stays
+        ``tests/exec/test_persist_stats.py``); the write itself stays
         atomic-replace, so a crashed writer can tear the lock window
         but never the file.  With no new counts, or with the disk layer
         off (``REPRO_CACHE=0``), nothing is written.  Returns the

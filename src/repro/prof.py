@@ -18,11 +18,6 @@ its class name otherwise, plus the method name — so a profile reads as
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.metrics import RunResult
-
 
 def owner_of(fn) -> str:
     """Stable, human-readable key for a scheduled callback."""
@@ -144,47 +139,3 @@ class KernelProfile:
                          f"{100.0 * secs / total:5.1f}%")
         return "\n".join(lines)
 
-
-def profile_mix(mix_name: str, policy: str = "baseline",
-                scale: str = "smoke", seed: int = 1,
-                predictor: Optional[str] = None
-                ) -> tuple["RunResult", KernelProfile]:
-    """Run one mix with kernel profiling on (bypasses the result cache —
-    a profiled run is about the breakdown, not the result).
-    ``predictor`` overrides the FRPU-seam predictor
-    (docs/predictors.md)."""
-    from repro.config import default_config
-    from repro.mixes import mix as mix_by_name
-    from repro.policies import make_policy
-    from repro.sim.metrics import collect
-    from repro.sim.system import HeterogeneousSystem
-
-    m = mix_by_name(mix_name)
-    cfg = default_config(scale=scale, n_cpus=m.n_cpus, seed=seed)
-    if predictor is not None:
-        cfg = cfg.with_qos(predictor=predictor)
-    system = HeterogeneousSystem(cfg, m, make_policy(policy))
-    prof = system.sim.enable_profiling()
-    system.run()
-    return collect(system), prof
-
-
-def profile_standalone(game: Optional[str] = None,
-                       spec: Optional[int] = None, scale: str = "smoke",
-                       seed: int = 1) -> tuple["RunResult", KernelProfile]:
-    """Profiled standalone run (one GPU game or one SPEC application)."""
-    from repro.config import default_config
-    from repro.exec.specs import standalone_cpu_spec, standalone_gpu_spec
-    from repro.sim.metrics import collect
-    from repro.sim.system import HeterogeneousSystem
-
-    if (game is None) == (spec is None):
-        raise ValueError("need exactly one of game/spec")
-    spec_obj = standalone_gpu_spec(game, scale, seed) if game \
-        else standalone_cpu_spec(spec, scale, seed)
-    m = spec_obj.mix
-    cfg = default_config(scale=scale, n_cpus=m.n_cpus, seed=seed)
-    system = HeterogeneousSystem(cfg, m)
-    prof = system.sim.enable_profiling()
-    system.run()
-    return collect(system), prof

@@ -343,9 +343,12 @@ class Simulator:
         When ``until`` is given the clock always reaches it unless the
         run was cut short by ``stop()`` or ``max_events`` — even if the
         queue drains earlier — so consecutive ``run(until=...)`` calls
-        observe a consistent clock.  Returns the number of events
-        executed.
+        observe a consistent clock.  ``until`` before ``now`` raises
+        ``ValueError``: the clock never moves backwards.  Returns the
+        number of events executed.
         """
+        if until is not None and until < self.now:
+            raise ValueError(f"run(until={until}) is before now={self.now}")
         if self.profile is not None:
             return self._run_profiled(until, max_events)
         if max_events is not None and max_events < 1:
@@ -590,6 +593,8 @@ class ReferenceSimulator:
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
+        if until is not None and until < self.now:
+            raise ValueError(f"run(until={until}) is before now={self.now}")
         queue = self._queue
         executed = 0
         self._stop = False

@@ -12,8 +12,9 @@ fixed-bucket log2 histograms) plus request-weighted occupancy gauges
 * :class:`SpanTracer` — 1-in-N sampler, histogram registry, JSONL sink.
 * :class:`Histogram` / :class:`Gauge` — the metric primitives (the
   LLC's always-on round-trip aggregates use them too).
-* :func:`trace_mix` / :func:`trace_standalone` — one-call traced runs
-  (what ``python -m repro run --trace-spans PATH`` uses).
+* a traced run: ``with SpanTracer.to_file(path) as tracer:
+  run_system(cfg, mix, policy, tracer=tracer)`` (what ``python -m repro
+  run --trace-spans PATH`` does).
 * :mod:`repro.analysis.latency` — turn a span stream back into a
   per-policy, per-source stage breakdown and queue-depth timelines.
 
@@ -24,10 +25,8 @@ See docs/latency.md for the stage glossary and worked examples.
 """
 
 from repro.spans.histogram import Gauge, Histogram
-from repro.spans.recording import trace_mix, trace_standalone
 from repro.spans.tracer import (METRICS, STAGES, Span, SpanTracer,
                                 stage_durations)
 
 __all__ = ["Gauge", "Histogram", "Span", "SpanTracer", "STAGES",
-           "METRICS", "stage_durations", "trace_mix",
-           "trace_standalone"]
+           "METRICS", "stage_durations"]

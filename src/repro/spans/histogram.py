@@ -13,9 +13,7 @@ of the samples (clamped to the observed max), so the reported
 p50/p95/p99 are guaranteed upper bounds on the true order statistics
 (never under-reports a tail).
 Histograms merge by bucket-wise addition, which is associative and
-commutative — shard per channel/worker, merge at harvest; the
-``to_dict``/``from_dict`` pair is the JSON-able form the
-:mod:`repro.metrics` registry snapshots and merges.
+commutative — shard per channel/worker, merge at harvest.
 """
 
 from __future__ import annotations
@@ -117,24 +115,6 @@ class Histogram:
                 "min": self.min if self.min is not None else 0,
                 "max": self.max if self.max is not None else 0}
 
-    def to_dict(self) -> dict:
-        """JSON-able wire form; sparse (only non-empty buckets)."""
-        return {"counts": {str(i): c for i, c in enumerate(self.counts)
-                           if c},
-                "n": self.n, "total": self.total,
-                "min": self.min, "max": self.max}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Histogram":
-        out = cls()
-        for i, c in (data.get("counts") or {}).items():
-            out.counts[int(i)] = int(c)
-        out.n = int(data.get("n", 0))
-        out.total = int(data.get("total", 0))
-        out.min = data.get("min")
-        out.max = data.get("max")
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented
@@ -167,31 +147,9 @@ class Gauge:
         self.last = value
         self.hist.record(value)
 
-    def set(self, value: int) -> None:
-        """Alias for :meth:`record` (registry/Prometheus idiom)."""
-        self.record(value)
-
-    def merge(self, other: "Gauge") -> "Gauge":
-        """Fold ``other`` in: distributions add, ``last`` follows the
-        merged-in side whenever it actually observed something."""
-        self.hist.merge(other.hist)
-        if other.hist.n:
-            self.last = other.last
-        return self
-
     def summary(self) -> dict[str, float]:
         out = self.hist.summary()
         out["last"] = self.last
-        return out
-
-    def to_dict(self) -> dict:
-        return {"last": self.last, "hist": self.hist.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict, name: str = "") -> "Gauge":
-        out = cls(name)
-        out.last = data.get("last", 0)
-        out.hist = Histogram.from_dict(data.get("hist") or {})
         return out
 
     def __repr__(self) -> str:

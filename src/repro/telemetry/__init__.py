@@ -13,8 +13,9 @@ priority-mode flips, and per-interval LLC/DRAM/CPU shares.
 * :mod:`repro.telemetry.events` — the documented record schema
   (``SCHEMA``), enforced at emit time.
 * :mod:`repro.telemetry.sinks` — JSONL / CSV / in-memory sinks.
-* :func:`record_mix` / :func:`record_standalone` — one-call recorded
-  runs (what ``python -m repro run --telemetry PATH`` uses).
+* a recorded run: ``with Telemetry.to_file(path) as tel:
+  run_system(cfg, mix, policy, telemetry=tel)`` (what ``python -m repro
+  run --telemetry PATH`` does).
 * :mod:`repro.analysis.timeline` — turn a recording back into per-frame
   tables and plots.
 
@@ -24,9 +25,7 @@ example.
 
 from repro.telemetry.core import Telemetry
 from repro.telemetry.events import SCHEMA, csv_columns, validate
-from repro.telemetry.recording import record_mix, record_standalone
 from repro.telemetry.sinks import CsvSink, JsonlSink, ListSink, open_sink
 
 __all__ = ["Telemetry", "SCHEMA", "csv_columns", "validate",
-           "record_mix", "record_standalone",
            "CsvSink", "JsonlSink", "ListSink", "open_sink"]

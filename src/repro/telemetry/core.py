@@ -21,7 +21,7 @@ Usage::
     system.run()
     tel.close()
 
-or, one level up, :func:`repro.telemetry.record_mix` /
+or ``run_system(cfg, mix, policy, telemetry=tel)`` /
 ``python -m repro run --telemetry run.jsonl``.
 """
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import ReferenceSimulator, Simulator
 
 
 def test_events_run_in_time_order():
@@ -89,6 +89,34 @@ def test_run_until_advances_clock_on_queue_drain():
     # and a later horizon with an empty queue still advances
     sim.run(until=2_000_000)
     assert sim.now == 2_000_000
+
+
+def _profiled_simulator():
+    sim = Simulator()
+    sim.enable_profiling()
+    return sim
+
+
+@pytest.mark.parametrize("make", [Simulator, _profiled_simulator,
+                                  ReferenceSimulator],
+                         ids=["fast", "profiled", "reference"])
+def test_run_until_never_moves_the_clock_backwards(make):
+    """``run(until=)`` before ``now`` is refused before it touches the
+    queue or the clock; ``until == now`` still runs that tick."""
+    sim = make()
+    log = []
+    sim.at(30, lambda: log.append(sim.now))
+    sim.run(until=20)
+    with pytest.raises(ValueError):
+        sim.run(until=5)
+    assert sim.now == 20 and sim.pending() == 1 and log == []
+    with pytest.raises(ValueError):
+        sim.at(6, lambda: log.append(sim.now))      # still the past
+    sim.at(20, lambda: log.append(sim.now))
+    sim.run(until=20)
+    assert log == [20] and sim.now == 20
+    sim.run()
+    assert log == [20, 30]
 
 
 def test_stop_does_not_advance_to_until():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from repro.prof import KernelProfile, owner_of, profile_mix
+from repro import HeterogeneousSystem, default_config, mix
+from repro.prof import KernelProfile, owner_of
 from repro.sim.engine import Simulator
+from repro.sim.metrics import collect
 
 
 class _Widget:
@@ -77,9 +79,13 @@ def test_as_dict_and_report_render():
     assert "kernel profile: 3 events" in text
 
 
-def test_profile_mix_end_to_end():
+def test_profiled_mix_end_to_end():
     # cheapest real profiled run: one-CPU mix at smoke scale
-    result, prof = profile_mix("W8", "baseline", scale="smoke", seed=1)
+    m = mix("W8")
+    system = HeterogeneousSystem(
+        default_config(scale="smoke", n_cpus=m.n_cpus, seed=1), m)
+    prof = system.sim.enable_profiling()
+    result = collect(system.run())
     assert result.ticks > 0
     assert prof.events > 0
     # the memory hierarchy must show up by component name

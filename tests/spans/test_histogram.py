@@ -7,6 +7,20 @@ import pytest
 from repro.spans.histogram import Gauge, Histogram, N_BUCKETS
 
 
+def test_bucket_count_is_pinned():
+    assert N_BUCKETS == 65
+    assert len(Histogram().counts) == N_BUCKETS
+
+
+def test_log2_bucketing():
+    h = Histogram()
+    for v in (0, 1, 2, 3, 4, 1023, 1024):
+        h.record(v)
+    assert h.n == 7
+    assert h.min == 0 and h.max == 1024
+    assert sum(h.counts) == 7
+
+
 def test_bucket_edges_are_monotone():
     uppers = [Histogram.bucket_upper(i) for i in range(N_BUCKETS)]
     assert uppers[0] == 0

@@ -2,20 +2,23 @@
 
 import pytest
 
+from repro import default_config, mix, run_system
 from repro.analysis.latency import (SpanReport, compare,
                                     format_comparison)
-from repro.spans.recording import trace_mix
+from repro.spans import SpanTracer
 
 
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
     d = tmp_path_factory.mktemp("lat")
+    m = mix("W8")
+    cfg = default_config(scale="smoke", n_cpus=m.n_cpus, seed=1)
     out = {}
     for policy in ("baseline", "throtcpuprio"):
-        path = d / f"{policy}.jsonl"
-        trace_mix("W8", policy=policy, scale="smoke", seed=1,
-                  path=str(path), sample_every=8)
-        out[policy] = SpanReport.load(str(path))
+        path = str(d / f"{policy}.jsonl")
+        with SpanTracer.to_file(path, sample_every=8) as tracer:
+            run_system(cfg, m, policy, tracer=tracer)
+        out[policy] = SpanReport.load(path)
     return out
 
 

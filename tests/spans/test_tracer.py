@@ -4,16 +4,25 @@ import json
 
 import pytest
 
+from repro import default_config, mix, run_system
 from repro.mem.request import MemRequest
 from repro.spans import METRICS, STAGES, SpanTracer, stage_durations
-from repro.spans.recording import trace_mix
+
+
+def _trace(path, sample_every):
+    """A smoke-scale, seed-1 baseline W8 run streaming sampled spans
+    to ``path``."""
+    m = mix("W8")
+    cfg = default_config(scale="smoke", n_cpus=m.n_cpus, seed=1)
+    with SpanTracer.to_file(str(path), sample_every=sample_every) as tracer:
+        result = run_system(cfg, m, "baseline", tracer=tracer)
+    return result, tracer
 
 
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
     path = tmp_path_factory.mktemp("spans") / "w8.jsonl"
-    result, tracer = trace_mix("W8", policy="baseline", scale="smoke",
-                               seed=1, path=str(path), sample_every=8)
+    result, tracer = _trace(path, sample_every=8)
     rows = [json.loads(line) for line in
             path.read_text().splitlines() if line]
     return result, tracer, rows
@@ -69,10 +78,8 @@ def test_both_sides_and_gauges_observed(traced):
 
 def test_sampling_is_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    trace_mix("W8", policy="baseline", scale="smoke", seed=1,
-              path=str(p1), sample_every=32)
-    trace_mix("W8", policy="baseline", scale="smoke", seed=1,
-              path=str(p2), sample_every=32)
+    _trace(p1, sample_every=32)
+    _trace(p2, sample_every=32)
     assert p1.read_bytes() == p2.read_bytes()
 
 

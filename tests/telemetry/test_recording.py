@@ -1,15 +1,26 @@
 """End-to-end recordings: system wiring, CLI, and timeline round-trip."""
 
-import pytest
-
+from repro import default_config, mix, run_system
 from repro.__main__ import main
 from repro.analysis.timeline import Timeline
-from repro.telemetry import Telemetry, record_mix, record_standalone
+from repro.exec import standalone_gpu_spec
+from repro.telemetry import Telemetry
 from repro.telemetry.sinks import ListSink
 
 
-def test_record_mix_emits_control_loop_events():
-    r, tel = record_mix("W8", "throtcpuprio", scale="smoke", seed=1)
+def _record(mix_name, policy, tel=None):
+    """One smoke-scale, seed-1 run of a Table III mix with ``tel``
+    (default: an in-memory recorder) attached."""
+    tel = Telemetry() if tel is None else tel
+    m = mix(mix_name)
+    cfg = default_config(scale="smoke", n_cpus=m.n_cpus, seed=1)
+    result = run_system(cfg, m, policy, telemetry=tel)
+    tel.close()
+    return result, tel
+
+
+def test_recorded_mix_emits_control_loop_events():
+    r, tel = _record("W8", "throtcpuprio")
     counts = tel.counts()
     assert counts["run_meta"] == 1
     assert counts["frame"] >= r.frames_rendered
@@ -25,8 +36,8 @@ def test_record_mix_emits_control_loop_events():
     assert ticks == sorted(ticks)
 
 
-def test_record_mix_baseline_has_no_control_events():
-    _, tel = record_mix("W8", "baseline", scale="smoke", seed=1)
+def test_recorded_baseline_has_no_control_events():
+    _, tel = _record("W8", "baseline")
     counts = tel.counts()
     assert "atu_update" not in counts
     assert "gate" not in counts
@@ -34,34 +45,35 @@ def test_record_mix_baseline_has_no_control_events():
     assert counts["frame"] >= 1        # frames still recorded
 
 
-def test_record_mix_dynprio_emits_priority_flips():
-    _, tel = record_mix("M7", "dynprio", scale="smoke", seed=1)
+def test_recorded_dynprio_emits_priority_flips():
+    _, tel = _record("M7", "dynprio")
     flips = [r for r in tel.records if r["type"] == "dram_priority"]
     assert flips, "DynPrio never flipped DRAM priority at smoke scale"
     assert all(f["source"] == "dynprio" for f in flips)
     assert {f["mode"] for f in flips} <= {"cpu_high", "equal", "gpu_high"}
 
 
-def test_record_standalone_gpu():
-    r, tel = record_standalone(game="DOOM3", scale="smoke", seed=1)
+def test_recorded_standalone_gpu():
+    spec = standalone_gpu_spec("DOOM3", "smoke", 1)
+    with Telemetry() as tel:
+        r = run_system(spec.resolved_cfg(), spec.resolved_mix(),
+                       spec.policy, telemetry=tel)
     assert r.fps > 0
     assert tel.count("frame") >= 1
-    with pytest.raises(ValueError):
-        record_standalone(scale="smoke")           # neither game nor spec
 
 
 def test_custom_sampling_interval():
-    coarse = Telemetry(sample_interval_ticks=65536)
-    _, coarse = record_mix("W8", "baseline", scale="smoke", telemetry=coarse)
-    fine = Telemetry(sample_interval_ticks=4096)
-    _, fine = record_mix("W8", "baseline", scale="smoke", telemetry=fine)
+    _, coarse = _record("W8", "baseline",
+                        Telemetry(sample_interval_ticks=65536))
+    _, fine = _record("W8", "baseline",
+                      Telemetry(sample_interval_ticks=4096))
     assert fine.count("llc_interval") > coarse.count("llc_interval")
 
 
 def test_sampler_off_when_interval_zero():
     tel = Telemetry(sample_interval_ticks=0)
     tel.add_sink(ListSink())
-    _, tel = record_mix("W8", "baseline", scale="smoke", telemetry=tel)
+    _, tel = _record("W8", "baseline", tel)
     assert tel.count("llc_interval") == 0
     assert tel.count("frame") >= 1
 

@@ -90,6 +90,36 @@ def test_run_prints_result(capsys):
     assert "weighted speedup" in out
 
 
+def _printed(argv, capsys):
+    """Lines a command prints, minus its (nondeterministic) wall time."""
+    assert main(argv) == 0
+    return [line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("  wall time:")]
+
+
+@pytest.mark.parametrize("argv, probes", [
+    (["run", "--mix", "W8", "--policy", "throtcpuprio", "--predictor",
+      "rls"], ["--profile", "--telemetry", "--trace-spans", "--guard"]),
+    (["standalone", "--game", "DOOM3"],
+     ["--profile", "--telemetry", "--trace-spans"]),
+    (["standalone", "--spec", "403"],
+     ["--profile", "--telemetry", "--trace-spans"]),
+], ids=["run", "standalone-game", "standalone-spec"])
+def test_probe_flags_never_change_the_printed_result(argv, probes,
+                                                     tmp_path, capsys):
+    """A probe flag only appends its report: every line the unprobed
+    command prints comes out of the probed one unchanged, first."""
+    argv = argv + ["--scale", "smoke"]
+    plain = _printed(argv, capsys)
+    for flag in probes:
+        probed = argv + [flag]
+        if flag in ("--telemetry", "--trace-spans"):
+            probed.append(str(tmp_path / f"{flag.lstrip('-')}.jsonl"))
+        out = _printed(probed, capsys)
+        assert out[:len(plain)] == plain, flag
+        assert len(out) > len(plain), flag          # the probe reported
+
+
 def test_trace_records_npz(tmp_path, capsys):
     out = tmp_path / "w8.npz"
     assert main(["trace", "--mix", "W8", "--out", str(out),

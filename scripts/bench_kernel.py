@@ -30,8 +30,8 @@ Also measured, with methodology recorded in the JSON:
 * the L2 single-run row ``l2_sms`` — one M13/sms-0.9 run, where DRAM
   polls dominate, in wall seconds and equivalent kernel
   events, next to the same run on the legacy per-entry DRAM path
-  (``REPRO_HOTPATH=legacy``); ``--check`` fails above 1.10x the
-  committed equivalent events, like the M7 macro gate.
+  (built under ``hotpath.batching(False)``); ``--check`` fails above
+  1.10x the committed equivalent events, like the M7 macro gate.
 
 Usage::
 

@@ -362,8 +362,9 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("standalone", help="run one app alone")
-    p.add_argument("--game")
-    p.add_argument("--spec", type=int)
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--game")
+    target.add_argument("--spec", type=int)
     probe = p.add_mutually_exclusive_group()
     probe.add_argument("--profile", action="store_true",
                        help="profile the event kernel (bypasses cache)")

@@ -91,6 +91,7 @@ def latency_table(mix_names=None, policies=("baseline", "throtcpuprio"),
     return, CPU ticks): mean and log2-bucket p95 for each side.  The
     paper's mechanism in one table — throttling policies should cut
     the CPU columns on memory-heavy mixes while the GPU columns rise.
+    A failed run raises :class:`repro.exec.BatchError`.
     """
     from repro.exec import mix_spec, run_many
     if mix_names is None:
@@ -98,8 +99,8 @@ def latency_table(mix_names=None, policies=("baseline", "throtcpuprio"),
     specs = [mix_spec(m, pol, scale, seed)
              for m in mix_names for pol in policies]
     rows = []
-    for spec, out in zip(specs, run_many(specs)):
-        lat = out.result.llc_latency if out.ok else {}
+    for spec, out in zip(specs, run_many(specs, strict=True)):
+        lat = out.result.llc_latency
         rows.append({
             "mix": spec.resolved_mix().name, "policy": spec.policy,
             "cpu_mean": lat.get("cpu_mean", 0.0),

@@ -5,7 +5,7 @@ record list of a live :class:`repro.telemetry.Telemetry`) back into
 typed records and derives the control-loop views the paper plots:
 
 * :meth:`Timeline.per_frame_table` — one row per frame joining the
-  ``frame``, ``frpu_error`` and ``atu_update`` streams (frame time,
+  ``frame``, prediction-error and ``gate`` streams (frame time,
   prediction error, throttle stall, gate state).
 * :meth:`Timeline.gating_duty_cycle` — fraction of the recorded span
   the ATU gate was open, reconstructed from ``gate`` edge events.
@@ -112,6 +112,12 @@ class Timeline:
     def events(self, etype: str) -> list[dict]:
         return self.by_type.get(etype, [])
 
+    def prediction_errors(self) -> list[dict]:
+        """Per-frame prediction-error records of whichever predictor
+        ran: ``frpu_error`` from the reference extrapolator,
+        ``predictor_error`` from the others (docs/predictors.md)."""
+        return self.events("frpu_error") + self.events("predictor_error")
+
     @property
     def span_ticks(self) -> int:
         ticks = [r["tick"] for r in self.records if "tick" in r]
@@ -152,12 +158,13 @@ class Timeline:
 
         Columns: ``frame``, ``tick``, ``cycles``, ``llc_accesses``,
         ``throttle_cycles``, ``n_rtps`` (from ``frame`` events),
-        ``predicted_cycles`` / ``error_pct`` (from ``frpu_error``,
-        when the FRPU predicted that frame), ``phase`` (the FRPU phase
+        ``predicted_cycles`` / ``error_pct`` (from
+        :meth:`prediction_errors`, when the predictor scored that
+        frame), ``phase`` (the FRPU phase
         entered at that frame, if any) and ``gated`` (1 if the ATU gate
         was open at any point during the frame).
         """
-        errors = {e["frame"]: e for e in self.events("frpu_error")}
+        errors = {e["frame"]: e for e in self.prediction_errors()}
         phases = {e["frame"]: e["phase"] for e in self.events("frpu_phase")}
         spans = self.gate_spans()
         rows: list[dict] = []
@@ -184,7 +191,7 @@ class Timeline:
     def summary(self) -> dict:
         """Scalar digest of the recording."""
         frames = self.events("frame")
-        errs = [abs(e["error_pct"]) for e in self.events("frpu_error")]
+        errs = [abs(e["error_pct"]) for e in self.prediction_errors()]
         updates = self.events("atu_update")
         out = {
             "records": len(self.records),
@@ -240,7 +247,7 @@ def _pyplot():
 def plot_prediction_error(timeline: Timeline, out_path: str) -> str:
     """FRPU prediction error per frame (the paper's Fig. 8 flavour)."""
     plt = _pyplot()
-    errs = timeline.events("frpu_error")
+    errs = timeline.prediction_errors()
     fig, ax = plt.subplots(figsize=(8, 3))
     ax.axhline(0.0, color="0.7", lw=0.8)
     ax.plot([e["frame"] for e in errs], [e["error_pct"] for e in errs],

@@ -184,7 +184,6 @@ class LlcConfig:
     line_bytes: int = LINE_BYTES
     latency: int = 10                 # ticks (10 CPU cycles, Table I)
     policy: str = "srrip"
-    srrip_bits: int = 2
     mshr_entries: int = 128
 
     def __post_init__(self) -> None:

@@ -39,12 +39,10 @@ from repro.config import GPU_CYCLE_TICKS
 
 
 class AccessThrottlingUnit:
-    def __init__(self, wg_step: int = 2, gpu_cycle_ticks: int =
-                 GPU_CYCLE_TICKS):
+    def __init__(self, wg_step: int = 2):
         if wg_step < 1:
             raise ValueError("wg_step must be >= 1 tick")
         self.wg_step = wg_step            # in ticks
-        self.gpu_cycle_ticks = gpu_cycle_ticks
         self.ng = 1
         self.wg_ticks = 0
         self._tokens = self.ng
@@ -61,7 +59,7 @@ class AccessThrottlingUnit:
     @property
     def wg(self) -> float:
         """W_G in GPU cycles (the paper's unit), for reporting."""
-        return self.wg_ticks / self.gpu_cycle_ticks
+        return self.wg_ticks / GPU_CYCLE_TICKS
 
     def compute(self, c_p: float, c_t: float,
                 a: float) -> tuple[int, float]:
@@ -72,7 +70,7 @@ class AccessThrottlingUnit:
         if c_p > c_t or a <= 0:
             self.wg_ticks = 0
             return self.ng, self.wg
-        target_ticks = (c_t - c_p) / a * self.gpu_cycle_ticks
+        target_ticks = (c_t - c_p) / a * GPU_CYCLE_TICKS
         # the Fig. 6 growth loop, closed-form: largest multiple of the
         # step at or below the bound
         self.wg_ticks = int(target_ticks // self.wg_step) * self.wg_step

@@ -35,8 +35,7 @@ class QoSController:
     def __init__(self, sim: Simulator, cfg: QosConfig,
                  pipeline: GpuPipeline, gpu_frame_cycles: int,
                  dram_schedulers: Sequence[CpuPriorityScheduler] = (),
-                 correct_throttle: bool = True, seed: int = 0,
-                 telemetry=None):
+                 correct_throttle: bool = True, telemetry=None):
         self.sim = sim
         self.cfg = cfg
         self.pipeline = pipeline
@@ -54,8 +53,7 @@ class QoSController:
             cfg.predictor,
             rtp_entries=cfg.rtp_table_entries,
             verify_threshold=cfg.verify_threshold,
-            correct_throttle=correct_throttle, seed=seed,
-            telemetry=telemetry)
+            correct_throttle=correct_throttle, telemetry=telemetry)
         self.atu = AccessThrottlingUnit(wg_step=cfg.wg_step)
         self._pass_gate = PassGate()
         self.throttling = False

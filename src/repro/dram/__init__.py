@@ -4,11 +4,10 @@ from repro.dram.bank import Bank
 from repro.dram.controller import MemoryController, DramSystem
 from repro.dram.schedulers import (
     FrFcfsScheduler, CpuPriorityScheduler, SmsScheduler, DynPrioScheduler,
-    make_scheduler,
 )
 
 __all__ = [
     "Bank", "MemoryController", "DramSystem",
     "FrFcfsScheduler", "CpuPriorityScheduler", "SmsScheduler",
-    "DynPrioScheduler", "make_scheduler",
+    "DynPrioScheduler",
 ]

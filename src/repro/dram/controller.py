@@ -100,8 +100,7 @@ class PendingReq:
 
 class MemoryController:
     def __init__(self, sim: Simulator, cfg: DramConfig, channel_id: int,
-                 scheduler=None, *, line_bytes: int = LINE_BYTES,
-                 channel_bits: Optional[int] = None):
+                 scheduler=None, *, line_bytes: int = LINE_BYTES):
         self.sim = sim
         self.cfg = cfg
         self.channel_id = channel_id
@@ -135,9 +134,7 @@ class MemoryController:
         # "bank-xor") or at row granularity ("row") and are stripped
         # before the bank/row decomposition.
         self._line_shift = line_bytes.bit_length() - 1
-        if channel_bits is None:
-            channel_bits = max(cfg.channels - 1, 0).bit_length()
-        self._chan_bits = channel_bits
+        self._chan_bits = max(cfg.channels - 1, 0).bit_length()
         self._strip_shift = (cfg.row_bytes.bit_length() - 1
                              if cfg.mapping == "row"
                              else self._line_shift)

@@ -276,16 +276,3 @@ class SmsScheduler:
             return None
         return min(b.opened_at + self.age_limit
                    for b in self._forming.values())
-
-
-def make_scheduler(name: str, **kwargs):
-    """Scheduler registry used by policies and the system builder."""
-    if name in ("fr-fcfs", "frfcfs", "baseline"):
-        return FrFcfsScheduler()
-    if name in ("cpu-priority", "cpuprio"):
-        return CpuPriorityScheduler()
-    if name == "dynprio":
-        return DynPrioScheduler()
-    if name == "sms":
-        return SmsScheduler(**kwargs)
-    raise KeyError(f"unknown DRAM scheduler {name!r}")

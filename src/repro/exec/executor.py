@@ -61,14 +61,18 @@ def reset_counters() -> None:
 
 
 def default_jobs() -> int:
-    """Fan-out from ``REPRO_JOBS``: unset -> 1 (serial), 0 -> one per core."""
+    """Fan-out from ``REPRO_JOBS``: unset -> 1 (serial), 0 -> one per core.
+
+    A value that is not an integer raises ``ValueError``.
+    """
     raw = os.environ.get(JOBS_ENV, "").strip()
     if not raw:
         return 1
     try:
         n = int(raw)
     except ValueError:
-        return 1
+        raise ValueError(f"{JOBS_ENV} must be an integer worker count, "
+                         f"got {raw!r}") from None
     if n <= 0:
         return os.cpu_count() or 1
     return n

@@ -1,7 +1,7 @@
 """Deterministic fault injectors and the plan that carries them.
 
-Every injector is *counting-based*: it fires on the ``nth`` matching
-request (optionally repeating), so a given ``(plan, config, seed)``
+Every injector is *counting-based*: it fires once, on the ``nth``
+matching request, so a given ``(plan, config, seed)``
 perturbs exactly the same requests on every run — a detected fault is
 reproducible by construction.  ``seed`` deterministically offsets the
 firing point so campaigns can vary *where* a fault lands without losing
@@ -40,23 +40,19 @@ class RequestFault:
 
     def __init__(self, action: str, side: str = "any",
                  kind: Optional[str] = None, nth: int = 50,
-                 count: int = 1, every: int = 1,
                  delay_ticks: int = 5000, seed: int = 0):
         if action not in self.ACTIONS:
             raise ValueError(f"unknown fault action {action!r}")
         if side not in ("any", "cpu", "gpu"):
             raise ValueError(f"unknown side {side!r}")
-        if nth < 1 or count < 1 or every < 1 or delay_ticks < 0:
-            raise ValueError("nth/count/every must be >= 1, "
-                             "delay_ticks >= 0")
+        if nth < 1 or delay_ticks < 0:
+            raise ValueError("nth must be >= 1, delay_ticks >= 0")
         self.action = action
         self.side = side
         self.kind = kind
         #: seed shifts the firing point deterministically (same seed ->
         #: same perturbed requests, different seed -> different ones)
         self.nth = nth + (seed % 17)
-        self.count = count
-        self.every = every
         self.delay_ticks = delay_ticks
 
     def applies_to(self, side: str) -> bool:
@@ -67,12 +63,11 @@ class RequestFault:
             else f"{self.side}/{self.kind}"
         extra = f" by {self.delay_ticks} ticks" \
             if self.action == "delay" else ""
-        return (f"{self.action} {where} read #{self.nth}"
-                f"{f' x{self.count}' if self.count > 1 else ''}{extra}")
+        return f"{self.action} {where} read #{self.nth}{extra}"
 
     def wrap(self, send: Callable, sim, side: str,
              log: list) -> Callable:
-        state = {"seen": 0, "fired": 0}
+        state = {"seen": 0}
 
         def injected(req, _send=send, _sim=sim, _state=state):
             if req.on_done is None or req.is_write or \
@@ -80,12 +75,9 @@ class RequestFault:
                 _send(req)
                 return
             _state["seen"] += 1
-            n = _state["seen"]
-            if (_state["fired"] >= self.count or n < self.nth or
-                    (n - self.nth) % self.every != 0):
+            if _state["seen"] != self.nth:
                 _send(req)
                 return
-            _state["fired"] += 1
             log.append({"injector": self.describe(), "action": self.action,
                         "side": side, "tick": _sim.now, "req": repr(req)})
             if self.action == "drop":

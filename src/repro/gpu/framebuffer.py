@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import LINE_BYTES
+from repro.config import GPU_CYCLE_TICKS, LINE_BYTES
 from repro.gpu.workloads import GameWorkload
 
 #: access-kind codes used in tile work arrays
@@ -132,11 +132,9 @@ class FrameGenerator:
     """
 
     def __init__(self, workload: GameWorkload, gpu_frame_cycles: int,
-                 base_addr: int, seed: int, gpu_cycle_ticks: int = 4,
-                 mem_scale: int = 1):
+                 base_addr: int, seed: int, mem_scale: int = 1):
         self.workload = workload
         self.gpu_frame_cycles = gpu_frame_cycles
-        self.gpu_cycle_ticks = gpu_cycle_ticks
         self.mem_scale = max(mem_scale, 1)
         self.rng = np.random.default_rng(seed)
         self.rt = RenderTarget(workload, base_addr)
@@ -171,7 +169,7 @@ class FrameGenerator:
         # compute budget per tile so that sum(compute) = compute_frac*frame
         total_tiles = self.tiles_per_rtp * workload.n_rtp
         self.compute_per_tile_ticks = max(int(
-            workload.compute_frac * gpu_frame_cycles * gpu_cycle_ticks
+            workload.compute_frac * gpu_frame_cycles * GPU_CYCLE_TICKS
             / total_tiles), 1)
 
     # -- access-pattern helpers -----------------------------------------

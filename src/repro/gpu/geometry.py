@@ -86,10 +86,9 @@ class GeometryFrameGenerator(FrameGenerator):
     ZHIER_REJECT = 0.25
 
     def __init__(self, workload: GameWorkload, gpu_frame_cycles: int,
-                 base_addr: int, seed: int, gpu_cycle_ticks: int = 4,
-                 mem_scale: int = 1):
+                 base_addr: int, seed: int, mem_scale: int = 1):
         super().__init__(workload, gpu_frame_cycles, base_addr, seed,
-                         gpu_cycle_ticks, mem_scale)
+                         mem_scale)
         # calibrate the triangle count to the same access budget:
         # expected covered tiles per triangle from the size distribution
         per_tile = workload.accesses_per_tile()

@@ -375,11 +375,11 @@ class GpuPipeline:
                 "frames": self.frames_completed,
                 "stopped": self.stopped}
 
-    def fps_measured(self, gpu_frame_cycles: int,
-                     skip_first: int = 1) -> float:
-        """Mean FPS over completed frames (excluding warm-up frames)."""
-        frames = self.completed_frames[skip_first:] \
-            if len(self.completed_frames) > skip_first \
+    def fps_measured(self, gpu_frame_cycles: int) -> float:
+        """Mean FPS over completed frames, excluding the first (warm-up)
+        frame when there is more than one."""
+        frames = self.completed_frames[1:] \
+            if len(self.completed_frames) > 1 \
             else self.completed_frames
         if not frames:
             return 0.0

@@ -73,6 +73,8 @@ class DiagnosticDump:
     telemetry_tail: list[dict] = field(default_factory=list)
 
     KEEP_OLDEST = 5
+    #: trailing telemetry records kept (when a recording is attached)
+    KEEP_TELEMETRY = 16
 
     def format(self) -> str:
         lines = [f"tick {self.tick:,}"]
@@ -146,8 +148,7 @@ class InvariantMonitor:
 
     def __init__(self, interval_ticks: int = DEFAULT_INTERVAL,
                  max_inflight_age: int = DEFAULT_MAX_AGE,
-                 stall_checks: int = DEFAULT_STALL_CHECKS,
-                 telemetry_tail: int = 16):
+                 stall_checks: int = DEFAULT_STALL_CHECKS):
         if interval_ticks < 1:
             raise ValueError("monitor interval must be >= 1 tick")
         if max_inflight_age < 1:
@@ -157,7 +158,6 @@ class InvariantMonitor:
         self.interval_ticks = int(interval_ticks)
         self.max_inflight_age = int(max_inflight_age)
         self.stall_checks = int(stall_checks)
-        self.telemetry_tail = int(telemetry_tail)
 
         self.system = None
         self.sim = None
@@ -498,7 +498,7 @@ class InvariantMonitor:
                 }
             tel = system.telemetry
             if tel is not None and getattr(tel, "records", None):
-                tail = list(tel.records[-self.telemetry_tail:])
+                tail = list(tel.records[-DiagnosticDump.KEEP_TELEMETRY:])
         oldest = sorted(
             ((repr(req), now - t0) for req, t0 in self._live.values()),
             key=lambda x: -x[1])[:DiagnosticDump.KEEP_OLDEST]

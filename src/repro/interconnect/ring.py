@@ -3,7 +3,7 @@
 Stops are laid out as ``cpu0..cpuN-1, gpu, llc, mc0, mc1`` on a ring.
 A message takes the shorter direction; base latency = hops * hop_ticks.
 
-Two models, selected by ``RingConfig``/constructor:
+Two models, selected by ``RingConfig.model``:
 
 * ``"latency"`` (default) — pure hop latency.  The paper's ring is
   never the first-order bottleneck (its contention story is LLC
@@ -22,13 +22,10 @@ from repro.sim.stats import StatSet
 
 
 class RingInterconnect:
-    def __init__(self, cfg: RingConfig, n_cpus: int,
-                 model: str = "latency", slot_ticks: int = 1):
-        if model not in ("latency", "contention"):
-            raise ValueError(f"unknown ring model {model!r}")
+    def __init__(self, cfg: RingConfig, n_cpus: int):
         self.cfg = cfg
-        self.model = model
-        self.slot_ticks = slot_ticks
+        self.model = cfg.model
+        self.slot_ticks = cfg.slot_ticks
         self.stops: list[str] = (
             [f"cpu{i}" for i in range(n_cpus)] + ["gpu", "llc", "mc0",
                                                   "mc1"])

@@ -13,6 +13,12 @@ from typing import Protocol, Sequence, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mem.cache import Line
 
+#: RRPV width of the LLC's SRRIP (Table I: two-bit SRRIP)
+SRRIP_BITS = 2
+#: the most distant RRPV: SRRIP evicts from here, and the LLC-management
+#: policies (TAP, DRP) insert lines they mean to evict first here
+SRRIP_MAX_RRPV = (1 << SRRIP_BITS) - 1
+
 
 class ReplacementPolicy(Protocol):
     """Per-cache replacement policy (stateless across sets except RNG)."""
@@ -54,7 +60,7 @@ class SrripPolicy:
     This is the LLC policy of Table I.
     """
 
-    def __init__(self, bits: int = 2):
+    def __init__(self, bits: int = SRRIP_BITS):
         if bits < 1:
             raise ValueError("srrip needs >= 1 bit")
         self.max_rrpv = (1 << bits) - 1
@@ -90,13 +96,12 @@ class RandomPolicy:
         return lines[self._rng.randrange(len(lines))]
 
 
-def make_policy(name: str, *, srrip_bits: int = 2,
-                seed: int = 0) -> ReplacementPolicy:
+def make_policy(name: str, *, seed: int = 0) -> ReplacementPolicy:
     """Policy registry used by :class:`repro.mem.cache.Cache`."""
     if name == "lru":
         return LruPolicy()
     if name == "srrip":
-        return SrripPolicy(srrip_bits)
+        return SrripPolicy()
     if name == "random":
         return RandomPolicy(seed)
     raise KeyError(f"unknown replacement policy {name!r}")

@@ -18,6 +18,7 @@ estimates track phase changes.
 from __future__ import annotations
 
 from repro.config import GPU_CYCLE_TICKS
+from repro.mem.replacement import SRRIP_MAX_RRPV
 from repro.policies.base import Policy
 
 
@@ -62,7 +63,6 @@ class DrpPolicy(Policy):
 
     def attach(self, system) -> None:
         self._system = system
-        self._max_rrpv = (1 << system.cfg.llc.srrip_bits) - 1
         system.llc.fill_rrpv_fn = self._fill_rrpv
         system.llc.eviction_observer = self._on_eviction
         if system.gpu is not None:
@@ -92,7 +92,7 @@ class DrpPolicy(Policy):
         if p >= self.hi:
             return 0                       # near-MRU: high-reuse class
         if p <= self.lo:
-            return self._max_rrpv          # distant: dead-on-arrival
+            return SRRIP_MAX_RRPV          # distant: dead-on-arrival
         return None
 
     def _decay(self, interval: int) -> None:

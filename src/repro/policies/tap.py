@@ -19,6 +19,7 @@ it is implemented here as an extension for the LLC-policy ablation.
 from __future__ import annotations
 
 from repro.config import GPU_CYCLE_TICKS
+from repro.mem.replacement import SRRIP_MAX_RRPV
 from repro.policies.base import Policy
 
 
@@ -37,7 +38,6 @@ class TapPolicy(Policy):
 
     def attach(self, system) -> None:
         self._system = system
-        self._max_rrpv = (1 << system.cfg.llc.srrip_bits) - 1
         system.llc.fill_rrpv_fn = self._fill_rrpv
         if system.gpu is not None:
             interval = self.sample_interval * GPU_CYCLE_TICKS
@@ -45,7 +45,7 @@ class TapPolicy(Policy):
 
     def _fill_rrpv(self, req):
         if req.is_gpu and self.demote_gpu:
-            return self._max_rrpv          # distant: first eviction pick
+            return SRRIP_MAX_RRPV          # distant: first eviction pick
         return None
 
     def _sample(self, interval: int) -> None:

@@ -19,13 +19,10 @@ from repro.policies.base import Policy
 
 class ThrottlePolicy(Policy):
     def __init__(self, cpu_priority: bool = True, target_fps: float = None,
-                 correct_throttle: bool = True, predictor: str = None):
+                 correct_throttle: bool = True):
         self.cpu_priority = cpu_priority
         self.target_fps = target_fps
         self.correct_throttle = correct_throttle
-        #: frame-time predictor override; None defers to
-        #: ``SystemConfig.qos.predictor`` (see docs/predictors.md)
-        self.predictor = predictor
         self.name = "throtcpuprio" if cpu_priority else "throttle"
         self.qos: QoSController | None = None
         self._schedulers: list[CpuPriorityScheduler] = []
@@ -46,13 +43,10 @@ class ThrottlePolicy(Policy):
             qos_cfg = replace(qos_cfg, target_fps=self.target_fps)
         if not self.cpu_priority:
             qos_cfg = replace(qos_cfg, cpu_priority_boost=False)
-        if self.predictor is not None:
-            qos_cfg = replace(qos_cfg, predictor=self.predictor)
         self.qos = QoSController(
             system.sim, qos_cfg, system.gpu,
             system.cfg.scale.gpu_frame_cycles,
             dram_schedulers=self._schedulers,
             correct_throttle=self.correct_throttle,
-            seed=system.cfg.seed,
             telemetry=system.telemetry)
         self.qos.start()

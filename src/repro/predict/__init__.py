@@ -48,14 +48,13 @@ PREDICTOR_NAMES: tuple[str, ...] = tuple(_REGISTRY)
 def make_predictor(name: str, *, rtp_entries: int = 64,
                    verify_threshold: float = 0.25,
                    correct_throttle: bool = True, skip_frames: int = 1,
-                   seed: int = 0, telemetry=None,
-                   **kwargs) -> Predictor:
+                   telemetry=None, **kwargs) -> Predictor:
     """Build a predictor by registry name.
 
     ``rtp_entries`` and ``verify_threshold`` only apply to the
     reference extrapolator (they parameterise the RTP information
     table and the Fig. 4 cross-verification); the shared knobs
-    (``correct_throttle``, ``skip_frames``, ``seed``, ``telemetry``)
+    (``correct_throttle``, ``skip_frames``, ``telemetry``)
     reach every implementation, and ``kwargs`` passes
     implementation-specific knobs through (e.g. ``forgetting=`` for
     ``rls``).
@@ -65,8 +64,7 @@ def make_predictor(name: str, *, rtp_entries: int = 64,
         raise KeyError(f"unknown predictor {name!r}; "
                        f"known: {', '.join(PREDICTOR_NAMES)}")
     common = dict(correct_throttle=correct_throttle,
-                  skip_frames=skip_frames, seed=seed,
-                  telemetry=telemetry)
+                  skip_frames=skip_frames, telemetry=telemetry)
     if cls is RtpExtrapolator:
         return cls(rtp_entries=rtp_entries,
                    verify_threshold=verify_threshold, **common, **kwargs)

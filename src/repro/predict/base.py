@@ -59,7 +59,7 @@ class Predictor(ABC):
     MID_FRAME_BOUND = 4
 
     def __init__(self, correct_throttle: bool = True,
-                 skip_frames: int = 1, seed: int = 0, telemetry=None):
+                 skip_frames: int = 1, telemetry=None):
         from repro.config import ConfigError
         if skip_frames < 0:
             raise ConfigError(
@@ -71,10 +71,6 @@ class Predictor(ABC):
         #: initial frames ignored entirely (cold caches would poison
         #: any learned cycle statistic and bias later predictions)
         self.skip_frames = skip_frames
-        #: deterministic-init seed; every shipped predictor is fully
-        #: deterministic, the seed only perturbs explicitly-randomised
-        #: research variants
-        self.seed = seed
         #: optional repro.telemetry.Telemetry: prediction-error samples
         #: are emitted when attached
         self.telemetry = telemetry

@@ -43,7 +43,7 @@ class EwmaBlendPredictor(Predictor):
     def __init__(self, alphas: tuple[float, ...] = (0.5, 0.2, 0.05),
                  eta: float = 2.0, min_history: int = 2,
                  llc_alpha: float = 0.3, correct_throttle: bool = True,
-                 skip_frames: int = 1, seed: int = 0, telemetry=None):
+                 skip_frames: int = 1, telemetry=None):
         from repro.config import ConfigError
         if not alphas or any(not 0.0 < a <= 1.0 for a in alphas):
             raise ConfigError("ewma-blend.alphas must all be in (0, 1], "
@@ -54,8 +54,7 @@ class EwmaBlendPredictor(Predictor):
             raise ConfigError("ewma-blend.min_history must be >= 1, "
                               f"got {min_history!r}")
         super().__init__(correct_throttle=correct_throttle,
-                         skip_frames=skip_frames, seed=seed,
-                         telemetry=telemetry)
+                         skip_frames=skip_frames, telemetry=telemetry)
         self.alphas = tuple(alphas)
         self.eta = eta
         self.min_history = min_history
@@ -133,10 +132,9 @@ class LastFramePredictor(Predictor):
     name = "last-frame"
 
     def __init__(self, correct_throttle: bool = True,
-                 skip_frames: int = 1, seed: int = 0, telemetry=None):
+                 skip_frames: int = 1, telemetry=None):
         super().__init__(correct_throttle=correct_throttle,
-                         skip_frames=skip_frames, seed=seed,
-                         telemetry=telemetry)
+                         skip_frames=skip_frames, telemetry=telemetry)
         self._last: Optional[float] = None
         self._last_llc = 0
 

@@ -23,8 +23,8 @@ blending with the trailing feature average
 cannot finish in the past).
 
 Everything is deterministic: weights start at zero, ``P`` at
-``p0 * I``, and no randomness enters the update, so two runs with the
-same seed are bit-identical (``tests/predict/test_predictors.py``).
+``p0 * I``, and no randomness enters the update, so two runs fed the
+same frames are bit-identical (``tests/predict/test_predictors.py``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class RlsPredictor(Predictor):
     def __init__(self, forgetting: float = 0.98, p0: float = 1e6,
                  min_history: int = 2, feature_alpha: float = 0.3,
                  correct_throttle: bool = True, skip_frames: int = 1,
-                 seed: int = 0, telemetry=None):
+                 telemetry=None):
         from repro.config import ConfigError
         if not 0.0 < forgetting <= 1.0:
             raise ConfigError("rls.forgetting must be in (0, 1], "
@@ -55,8 +55,7 @@ class RlsPredictor(Predictor):
             raise ConfigError(
                 f"rls.min_history must be >= 1, got {min_history!r}")
         super().__init__(correct_throttle=correct_throttle,
-                         skip_frames=skip_frames, seed=seed,
-                         telemetry=telemetry)
+                         skip_frames=skip_frames, telemetry=telemetry)
         self.forgetting = forgetting
         self.min_history = min_history
         self.feature_alpha = feature_alpha

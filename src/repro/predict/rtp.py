@@ -73,7 +73,7 @@ class RtpExtrapolator(Predictor):
 
     def __init__(self, rtp_entries: int = 64, verify_threshold: float = 0.25,
                  correct_throttle: bool = True, skip_frames: int = 1,
-                 ewma_alpha: float = 0.4, seed: int = 0, telemetry=None):
+                 ewma_alpha: float = 0.4, telemetry=None):
         from repro.config import ConfigError
         if rtp_entries < 1:
             raise ConfigError(
@@ -85,8 +85,7 @@ class RtpExtrapolator(Predictor):
             raise ConfigError("frpu.ewma_alpha must be in (0, 1], "
                               f"got {ewma_alpha!r}")
         super().__init__(correct_throttle=correct_throttle,
-                         skip_frames=skip_frames, seed=seed,
-                         telemetry=telemetry)
+                         skip_frames=skip_frames, telemetry=telemetry)
         self.table = RtpInfoTable(rtp_entries)
         self.verify_threshold = verify_threshold
         #: after each verified frame the learned aggregates track the

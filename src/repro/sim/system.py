@@ -73,9 +73,7 @@ class HeterogeneousSystem:
         # (e.g. engine.ReferenceSimulator for order-equivalence checks)
         self.sim = Simulator() if sim is None else sim
         n_cpus = mix.n_cpus
-        self.ring = RingInterconnect(cfg.ring, max(n_cpus, 1),
-                                     model=cfg.ring.model,
-                                     slot_ticks=cfg.ring.slot_ticks)
+        self.ring = RingInterconnect(cfg.ring, max(n_cpus, 1))
         self.ring.wire_clock(lambda: self.sim.now)
 
         # DRAM

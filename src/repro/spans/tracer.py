@@ -151,14 +151,14 @@ class SpanTracer:
     requests every time.
     """
 
-    def __init__(self, sample_every: int = 64, path: Optional[str] = None,
-                 now_fn: Optional[Callable[[], int]] = None):
+    def __init__(self, sample_every: int = 64, path: Optional[str] = None):
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.sample_every = sample_every
         self.path = path
         self._fh = open(path, "w", encoding="utf-8") if path else None
-        self.now_fn: Callable[[], int] = now_fn or (lambda: 0)
+        #: simulated clock; :meth:`bind` wires it to the system's
+        self.now_fn: Callable[[], int] = lambda: 0
         self.meta: dict = {}
         self._eligible = 0
         self._next_sid = 0

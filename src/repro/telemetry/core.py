@@ -39,16 +39,15 @@ if TYPE_CHECKING:  # pragma: no cover
 class Telemetry:
     """Buffers typed records in memory and streams them to sinks.
 
-    ``validate=True`` (the default) checks every record against the
+    Every record is checked against the
     :data:`repro.telemetry.events.SCHEMA`; the events are rare enough
     that validation costs nothing measurable, and it keeps the schema,
     the docs, and the emitters honest.
     """
 
     def __init__(self, *, sample_interval_ticks: int = 8192,
-                 validate: bool = True, buffer: bool = True):
+                 buffer: bool = True):
         self.sample_interval_ticks = sample_interval_ticks
-        self.validate = validate
         self.buffer = buffer
         self.records: list[dict] = []
         self._sinks: list = []
@@ -71,8 +70,7 @@ class Telemetry:
     def emit(self, etype: str, **fields) -> None:
         if self._closed:
             raise RuntimeError("telemetry already closed")
-        if self.validate:
-            validate(etype, fields)
+        validate(etype, fields)
         record = {"type": etype, **fields}
         self._counts[etype] = self._counts.get(etype, 0) + 1
         if self.buffer:

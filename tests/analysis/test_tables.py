@@ -1,6 +1,9 @@
 """Unit tests for Tables I-III regeneration."""
 
+import pytest
+
 from repro.analysis import tables
+from repro.exec import BatchError
 from repro.gpu.workloads import GAME_ORDER
 
 
@@ -42,3 +45,10 @@ def test_spec_profile_table():
     assert {r["id"] for r in rows} >= {401, 429, 462, 470}
     for r in rows:
         assert "hot" in r["streams"]
+
+
+def test_latency_table_raises_on_a_failed_run():
+    """A failed run is an error, not a row of 0.0 latencies."""
+    with pytest.raises(BatchError, match="no-such-policy"):
+        tables.latency_table(["W8"], policies=("baseline", "no-such-policy"),
+                             scale="smoke")

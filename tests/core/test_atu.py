@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.config import GPU_CYCLE_TICKS
 from repro.core.atu import AccessThrottlingUnit
 
-TICKS = 4  # gpu_cycle_ticks used throughout
+TICKS = 4  # ticks per GPU cycle, used throughout
 
 
 def test_no_throttle_when_gpu_slower_than_target():
@@ -113,7 +114,7 @@ def test_property_wg_never_exceeds_fig6_bound(c_p, c_t, a):
         gap = c_t - c_p
         assert wg * a <= gap * (1 + 1e-9) + 1e-6
         # and it is within one quantisation step of the bound
-        step_cycles = atu.wg_step / atu.gpu_cycle_ticks
+        step_cycles = atu.wg_step / GPU_CYCLE_TICKS
         assert (wg + step_cycles) * a > gap * (1 - 1e-9) - 1e-6
 
 

@@ -3,8 +3,7 @@
 from repro.config import DramConfig
 from repro.dram.controller import MemoryController
 from repro.dram.schedulers import (CpuPriorityScheduler, DynPrioScheduler,
-                                   FrFcfsScheduler, SmsScheduler,
-                                   make_scheduler)
+                                   SmsScheduler)
 from repro.mem.request import MemRequest
 from repro.sim.engine import Simulator
 
@@ -12,16 +11,6 @@ from repro.sim.engine import Simulator
 def read(addr, src, order, tag):
     return MemRequest(addr, False, src,
                       on_done=lambda r: order.append(tag))
-
-
-def test_registry():
-    assert isinstance(make_scheduler("fr-fcfs"), FrFcfsScheduler)
-    assert isinstance(make_scheduler("cpu-priority"), CpuPriorityScheduler)
-    assert isinstance(make_scheduler("dynprio"), DynPrioScheduler)
-    assert isinstance(make_scheduler("sms", p_sjf=0.5), SmsScheduler)
-    import pytest
-    with pytest.raises(KeyError):
-        make_scheduler("nope")
 
 
 def _race(scheduler, first, second):

@@ -6,8 +6,8 @@ import multiprocessing as mp
 import pytest
 
 from repro.exec import (BatchError, ResultCache, RunSpec, counters,
-                        mix_spec, reset_counters, run_cached, run_many,
-                        standalone_cpu_spec)
+                        default_jobs, mix_spec, reset_counters, run_cached,
+                        run_many, standalone_cpu_spec)
 from repro.exec import executor as executor_mod
 
 SPECS = [mix_spec("W8", "baseline", "smoke", 1),
@@ -19,6 +19,15 @@ HAVE_FORK = "fork" in mp.get_all_start_methods()
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(root=str(tmp_path), salt="test-salt")
+
+
+@pytest.mark.parametrize("raw", ["two", "1.5", "-"])
+def test_malformed_jobs_env_is_refused(raw, monkeypatch):
+    """A ``REPRO_JOBS`` that is not an integer is an error naming the
+    variable and its value, not a silent serial run."""
+    monkeypatch.setenv("REPRO_JOBS", raw)
+    with pytest.raises(ValueError, match=f"REPRO_JOBS.*{raw!r}"):
+        default_jobs()
 
 
 def test_serial_results_in_input_order(cache):

@@ -13,8 +13,8 @@ The reference is re-created here as a verbatim copy of the pre-refactor
 code (the same idiom the batching PR used for its bit-identity proof):
 
 * ``LegacyFrameRatePredictor`` — ``src/repro/core/frpu.py`` at the
-  parent commit, copied line-for-line (no ``Predictor`` base class, no
-  ``seed``, phase checked directly, the old int-typed ``actual`` in
+  parent commit, copied line-for-line (no ``Predictor`` base class,
+  phase checked directly, the old int-typed ``actual`` in
   ``_log_error``, and **without** the first-frame ``C_inter`` floor —
   the floor must be inert on these runs);
 * ``LegacyQoSController`` — the old ``_chain_frame_done`` (checks
@@ -22,7 +22,7 @@ code (the same idiom the batching PR used for its bit-identity proof):
   ``recompute`` (reads ``frpu.learned.llc_accesses`` directly) and the
   old inline ``storage_overhead_bits``;
 * ``LegacyThrottlePolicy`` — attaches the legacy controller with the
-  old constructor call (no ``seed=``).
+  old constructor call.
 
 Each mix x seed runs both wirings at smoke scale with telemetry
 attached (telemetry-attached runs are never cached, so both executions
@@ -234,14 +234,14 @@ class LegacyFrameRatePredictor:
 
 class LegacyQoSController(QoSController):
     def __init__(self, sim, cfg, pipeline, gpu_frame_cycles,
-                 dram_schedulers=(), correct_throttle=True, seed=0,
+                 dram_schedulers=(), correct_throttle=True,
                  telemetry=None):
         super().__init__(sim, cfg, pipeline, gpu_frame_cycles,
                          dram_schedulers=dram_schedulers,
-                         correct_throttle=correct_throttle, seed=seed,
+                         correct_throttle=correct_throttle,
                          telemetry=telemetry)
         # replace the seam-built predictor with the verbatim old one,
-        # constructed exactly as the old controller did (no seed)
+        # constructed exactly as the old controller did
         self.frpu = LegacyFrameRatePredictor(
             rtp_entries=cfg.rtp_table_entries,
             verify_threshold=cfg.verify_threshold,

@@ -288,7 +288,7 @@ def test_deterministic_under_fixed_seed(name):
 
     def drive(seed):
         rng = random.Random(seed)
-        p = make_predictor(name, seed=seed)
+        p = make_predictor(name)
         preds = []
         for i in range(1, 25):
             cyc = 900 + rng.randrange(200)

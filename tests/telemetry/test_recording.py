@@ -1,5 +1,7 @@
 """End-to-end recordings: system wiring, CLI, and timeline round-trip."""
 
+import pytest
+
 from repro import default_config, mix, run_system
 from repro.__main__ import main
 from repro.analysis.timeline import Timeline
@@ -8,12 +10,13 @@ from repro.telemetry import Telemetry
 from repro.telemetry.sinks import ListSink
 
 
-def _record(mix_name, policy, tel=None):
+def _record(mix_name, policy, tel=None, predictor="rtp"):
     """One smoke-scale, seed-1 run of a Table III mix with ``tel``
     (default: an in-memory recorder) attached."""
     tel = Telemetry() if tel is None else tel
     m = mix(mix_name)
-    cfg = default_config(scale="smoke", n_cpus=m.n_cpus, seed=1)
+    cfg = default_config(scale="smoke", n_cpus=m.n_cpus,
+                         seed=1).with_qos(predictor=predictor)
     result = run_system(cfg, m, policy, telemetry=tel)
     tel.close()
     return result, tel
@@ -51,6 +54,23 @@ def test_recorded_dynprio_emits_priority_flips():
     assert flips, "DynPrio never flipped DRAM priority at smoke scale"
     assert all(f["source"] == "dynprio" for f in flips)
     assert {f["mode"] for f in flips} <= {"cpu_high", "equal", "gpu_high"}
+
+
+@pytest.mark.parametrize("predictor", ["rtp", "rls"])
+def test_timeline_scores_every_predictor(predictor):
+    """The timeline reads the reference extrapolator's ``frpu_error``
+    records and the other predictors' ``predictor_error`` records alike:
+    its per-frame errors are the run's own ``frpu_errors``."""
+    r, tel = _record("M7", "throtcpuprio", predictor=predictor)
+    assert r.predictor == predictor and r.frpu_errors
+    tl = Timeline.from_telemetry(tel)
+    scored = [row["error_pct"] for row in tl.per_frame_table()
+              if row["error_pct"] is not None]
+    assert scored == r.frpu_errors
+    summary = tl.summary()
+    assert summary["frpu_predictions"] == len(r.frpu_errors)
+    assert summary["frpu_mean_abs_error_pct"] == pytest.approx(
+        sum(abs(e) for e in r.frpu_errors) / len(r.frpu_errors))
 
 
 def test_recorded_standalone_gpu():

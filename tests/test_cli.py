@@ -31,6 +31,18 @@ def test_standalone_spec(capsys):
     assert "IPC" in out
 
 
+def test_standalone_refuses_game_and_spec_together(capsys):
+    """One standalone run has one target: ``--game`` with ``--spec`` is
+    refused, naming both flags, instead of ``--spec`` being dropped."""
+    with pytest.raises(SystemExit) as exc:
+        main(["standalone", "--game", "DOOM3", "--spec", "429",
+              "--scale", "smoke"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--game" in err and "--spec" in err
+    assert "not allowed with" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--telemetry", "t.jsonl", "--guard"],
     ["run", "--trace-spans", "s.jsonl", "--telemetry", "t.jsonl"],

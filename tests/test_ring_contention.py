@@ -21,8 +21,8 @@ def test_latency_model_ignores_bursts():
 
 
 def test_contention_model_queues_bursts():
-    r = RingInterconnect(RingConfig(), n_cpus=2, model="contention",
-                         slot_ticks=4)
+    r = RingInterconnect(RingConfig(model="contention", slot_ticks=4),
+                         n_cpus=2)
     now = [100]
     r.wire_clock(lambda: now[0])
     first = r.delay("cpu0", "llc")
@@ -35,8 +35,8 @@ def test_contention_model_queues_bursts():
 
 
 def test_contention_directions_independent():
-    r = RingInterconnect(RingConfig(), n_cpus=4, model="contention",
-                         slot_ticks=8)
+    r = RingInterconnect(RingConfig(model="contention", slot_ticks=8),
+                         n_cpus=4)
     r.wire_clock(lambda: 0)
     d_cw = r.direction("cpu0", "cpu1")
     d_ccw = r.direction("cpu1", "cpu0")
@@ -48,7 +48,7 @@ def test_contention_directions_independent():
 
 def test_unknown_ring_model_rejected():
     with pytest.raises(ValueError):
-        RingInterconnect(RingConfig(), 1, model="mesh")
+        RingConfig(model="mesh")
 
 
 def test_system_runs_with_contention_ring():

@@ -1,6 +1,9 @@
 """Tests for the TAP-lite and DRP-lite LLC-management extensions."""
 
+import pytest
+
 from repro.config import default_config
+from repro.mem.replacement import SRRIP_MAX_RRPV
 from repro.mem.request import MemRequest
 from repro.mixes import Mix
 from repro.policies import make_policy
@@ -28,7 +31,6 @@ def test_tap_registry_and_attach():
 def test_tap_demotes_only_gpu_when_flagged():
     pol = TapPolicy()
     pol.demote_gpu = True
-    pol._max_rrpv = 3
     assert pol._fill_rrpv(MemRequest(0, False, "gpu", "texture")) == 3
     assert pol._fill_rrpv(MemRequest(0, False, "cpu0", "load")) is None
     pol.demote_gpu = False
@@ -56,7 +58,6 @@ def test_reuse_book_probability_and_decay():
 
 def test_drp_insertion_steering():
     pol = DrpPolicy(hi=0.6, lo=0.2, min_samples=4)
-    pol._max_rrpv = 3
     hot = pol.book("depth")
     hot.reused, hot.dead = 90, 10
     cold = pol.book("texture")
@@ -84,3 +85,22 @@ def test_drp_run_is_deterministic():
     b = run(make_policy("drp"), seed=5)
     assert a.sim.now == b.sim.now
     assert a.gpu_fps() == b.gpu_fps()
+
+
+# -- both ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["tap", "drp"])
+def test_distant_insertion_is_the_llc_srrip_max(name):
+    """TAP and DRP insert the GPU lines they mean to evict first at the
+    most distant RRPV of the LLC's own SRRIP, the one it evicts from."""
+    pol = make_policy(name)
+    cfg = default_config(scale="smoke", n_cpus=1)
+    system = HeterogeneousSystem(cfg, Mix("t", "Quake4", (403,)), pol)
+    llc_max = system.llc.cache.policy.max_rrpv
+    assert llc_max == SRRIP_MAX_RRPV == 3       # Table I: two-bit SRRIP
+    if name == "tap":
+        pol.demote_gpu = True
+    else:
+        pol.book("texture").dead = pol.min_samples
+    assert pol._fill_rrpv(MemRequest(0, False, "gpu", "texture")) == llc_max

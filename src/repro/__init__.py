@@ -8,8 +8,8 @@ Public API
 ``mix`` / ``MIXES_M`` / ``MIXES_W`` — the Table III workload mixes.
 ``run_mix`` / ``run_system`` / ``standalone_cpu`` / ``standalone_gpu`` —
 experiment runners returning :class:`RunResult`.
-``make_policy`` — "baseline", "sms-0.9", "sms-0", "dynprio", "helm",
-"cm-bal", "throttle", "throtcpuprio" (the proposal).
+``make_policy`` / ``POLICY_NAMES`` — the 13 registry policies, e.g.
+"baseline", "sms-0.9", "dynprio", "helm", "throtcpuprio" (the proposal).
 ``QoSController`` / ``FrameRatePredictor`` / ``AccessThrottlingUnit`` —
 the paper's mechanism, usable standalone.
 ``Predictor`` / ``make_predictor`` / ``PREDICTOR_NAMES`` — the

@@ -215,7 +215,8 @@ class DramTiming:
     t_rtp: int = 8                    # read-to-precharge
     #: refresh: tREFI (interval) and tRFC (all-bank busy), DRAM cycles.
     #: Disabled by default (t_refi=0) to keep the calibrated baseline;
-    #: the DRAM ablation bench quantifies the ~3% bandwidth tax.
+    #: no bench or figure enables it (tests/dram/test_refresh_faw.py
+    #: checks that it costs bandwidth, not how much).
     t_refi: int = 0
     t_rfc: int = 280
     #: tFAW: at most four ACTIVATEs per rolling window (DRAM cycles).
@@ -306,8 +307,6 @@ class QosConfig:
     wg_step: int = 2
     #: GPU cycles between throttle-parameter recomputations
     recompute_interval_gpu_cycles: int = 2048
-    #: enable the DRAM-scheduler CPU-priority boost
-    cpu_priority_boost: bool = True
     #: frame-time predictor behind the FRPU: "rtp" (the paper's Eqs.
     #: 1-3 extrapolator, default), "rls", "ewma-blend" or "last-frame"
     predictor: str = "rtp"

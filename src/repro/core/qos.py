@@ -7,8 +7,9 @@ Every ``recompute_interval_gpu_cycles`` the controller:
    (40 FPS: the 30 FPS visual-satisfaction floor plus a 10 FPS cushion);
 3. if the GPU is faster than the target (``C_P < C_T``), computes the
    throttle ``(N_G, W_G)`` via the Fig. 6 flow, installs the gate on the
-   GPU's GTT ports, and (optionally) boosts CPU priority in the DRAM
-   access schedulers;
+   GPU's GTT ports, and boosts CPU priority in the DRAM access
+   schedulers it was handed (``throtcpuprio`` hands it all of them,
+   ``throttle`` none);
 4. otherwise removes the gate and the priority boost — the mix runs in
    baseline mode (the proposal "remains disabled" for GPU applications
    that fail to meet the target FPS).
@@ -136,13 +137,12 @@ class QoSController:
             if self.telemetry is not None:
                 self.telemetry.emit("gate", tick=self.sim.now,
                                     state="open", wg_cycles=self.atu.wg)
-                if self.cfg.cpu_priority_boost and self.dram_schedulers:
+                if self.dram_schedulers:
                     self.telemetry.emit("dram_priority", tick=self.sim.now,
                                         mode="cpu_boost", source="qos")
         self.pipeline.gate = self.atu
-        if self.cfg.cpu_priority_boost:
-            for s in self.dram_schedulers:
-                s.boost = True
+        for s in self.dram_schedulers:
+            s.boost = True
 
     def _disable(self) -> None:
         if self.throttling:
@@ -151,7 +151,7 @@ class QoSController:
             if self.telemetry is not None:
                 self.telemetry.emit("gate", tick=self.sim.now,
                                     state="closed", wg_cycles=0.0)
-                if self.cfg.cpu_priority_boost and self.dram_schedulers:
+                if self.dram_schedulers:
                     self.telemetry.emit("dram_priority", tick=self.sim.now,
                                         mode="normal", source="qos")
         self.atu.reset_gate()

@@ -7,11 +7,12 @@ reproducible by construction.  ``seed`` deterministically offsets the
 firing point so campaigns can vary *where* a fault lands without losing
 reproducibility.
 
-The request-path injectors sit between the monitor's conservation
-wrapper (outside) and the real interconnect send (inside) — see
-``HeterogeneousSystem.__init__`` — so an injected drop or duplicate is
-visible to the :class:`~repro.guard.InvariantMonitor` exactly like a
-real simulator bug would be.
+The request-path injectors tap the system's request path
+(``HeterogeneousSystem.tap_send``) before the monitor does, so they sit
+between the monitor's conservation wrapper (outside) and the real
+interconnect send (inside): an injected drop or duplicate is visible to
+the :class:`~repro.guard.InvariantMonitor` exactly like a real
+simulator bug would be.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ class RequestFault:
         extra = f" by {self.delay_ticks} ticks" \
             if self.action == "delay" else ""
         return f"{self.action} {where} read #{self.nth}{extra}"
+
+    def bind(self, system, log: list) -> None:
+        """Tap the request path of each side this fault applies to."""
+        def tap(send, side):
+            if not self.applies_to(side):
+                return send
+            return self.wrap(send, system.sim, side, log)
+        system.tap_send(tap)
 
     def wrap(self, send: Callable, sim, side: str,
              log: list) -> Callable:
@@ -149,17 +158,9 @@ class FaultPlan:
         self.injectors = list(injectors)
         self.log: list[dict] = []
 
-    def wrap_send(self, send: Callable, sim, side: str) -> Callable:
-        for inj in self.injectors:
-            if isinstance(inj, RequestFault) and inj.applies_to(side):
-                send = inj.wrap(send, sim, side, self.log)
-        return send
-
     def bind(self, system) -> None:
         for inj in self.injectors:
-            bind = getattr(inj, "bind", None)
-            if bind is not None:
-                bind(system, self.log)
+            inj.bind(system, self.log)
 
     def fired(self) -> int:
         return len(self.log)

@@ -12,10 +12,10 @@ per-component occupancies, the oldest in-flight requests, the last N
 telemetry records).
 
 Strictly zero-cost when off: a system built without a monitor takes the
-exact same code paths it always did (the wiring happens at construction
-time, like spans/telemetry), and a system built *with* a monitor is
-bit-identical to one without — the checks are read-only and never
-perturb event order (``tests/guard/test_guard_golden.py``).
+exact same code paths it always did (nothing taps its request path),
+and a system built *with* a monitor is bit-identical to one without —
+the checks are read-only and never perturb event order
+(``tests/guard/test_guard_golden.py``).
 
 See ``docs/robustness.md`` for the invariant glossary mapping each
 check onto the hardware structure it models.

@@ -141,9 +141,10 @@ class InvariantMonitor:
     """Watchdog over one :class:`~repro.sim.system.HeterogeneousSystem`.
 
     Construct it, pass it as ``HeterogeneousSystem(..., monitor=...)``
-    (or ``run_system(..., monitor=...)``), and run.  The system wires
-    the issue-accounting hook and schedules the periodic check event;
-    a system built without a monitor is untouched.
+    (or ``run_system(..., monitor=...)``), and run.  :meth:`bind` taps
+    the issue-accounting hook into the system's request path and
+    schedules the periodic check event; a system built without a
+    monitor is untouched.
     """
 
     def __init__(self, interval_ticks: int = DEFAULT_INTERVAL,
@@ -173,9 +174,17 @@ class InvariantMonitor:
         self._last_progress: Optional[tuple] = None
         self._phase_idx = 0
 
-    # -- wiring (called by HeterogeneousSystem at construction) ----------
+    # -- wiring (HeterogeneousSystem binds it once built) -----------------
 
-    def wrap_issue(self, send: Callable, sim) -> Callable:
+    def bind(self, system) -> None:
+        """Attach to a fully-constructed system: tap both request paths
+        with issue/retire accounting and start checking."""
+        self.system = system
+        self.sim = system.sim
+        system.tap_send(self._guard)
+        self.sim.after(self.interval_ticks, self._check)
+
+    def _guard(self, send: Callable, side: str) -> Callable:
         """Wrap a send hook with issue/retire conservation accounting.
 
         Only requests that carry a completion callback participate in
@@ -184,7 +193,7 @@ class InvariantMonitor:
         """
         live = self._live
 
-        def guarded_send(req, _send=send, _live=live, _sim=sim):
+        def guarded_send(req, _send=send, _live=live, _sim=self.sim):
             done = req.on_done
             if done is not None and not req.is_write:
                 self.issued += 1
@@ -209,12 +218,6 @@ class InvariantMonitor:
             _done(req)
 
         return retired
-
-    def bind(self, system) -> None:
-        """Attach to a fully-constructed system and start checking."""
-        self.system = system
-        self.sim = system.sim
-        self.sim.after(self.interval_ticks, self._check)
 
     # -- the periodic check ----------------------------------------------
 

@@ -81,7 +81,8 @@ class SrripPolicy:
 
 
 class RandomPolicy:
-    """Seeded random replacement (used by ablation benches)."""
+    """Seeded random replacement (``LlcConfig(policy="random")``; no
+    bench or figure selects it)."""
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)

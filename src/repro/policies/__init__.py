@@ -1,5 +1,7 @@
 """Memory-system management policies: the proposal and its competitors."""
 
+from typing import Callable
+
 from repro.policies.base import Policy
 from repro.policies.baseline import BaselinePolicy
 from repro.policies.bypass_all import BypassAllPolicy
@@ -12,47 +14,36 @@ from repro.policies.dash import DashPolicy
 from repro.policies.drp import DrpPolicy
 from repro.policies.throttle import ThrottlePolicy
 
+#: the registry: one name per policy, as benches, figures and the CLI
+#: use them
+_REGISTRY: dict[str, Callable[[], Policy]] = {
+    "baseline": BaselinePolicy,
+    "bypass-all": BypassAllPolicy,
+    "helm": HelmPolicy,
+    "sms-0.9": lambda: SmsPolicy(p_sjf=0.9),
+    "sms-0": lambda: SmsPolicy(p_sjf=0.0),
+    "dynprio": DynPrioPolicy,
+    "dash": DashPolicy,
+    "cm-bal": CmBalPolicy,
+    "tap": TapPolicy,
+    "drp": DrpPolicy,
+    "throttle": lambda: ThrottlePolicy(cpu_priority=False),
+    "throtcpuprio": lambda: ThrottlePolicy(cpu_priority=True),
+    # FRPU runs and logs predictions, but the target is set so high
+    # above any achievable rate that the ATU never engages — used to
+    # measure estimation accuracy (Fig. 8)
+    "estimate": lambda: ThrottlePolicy(cpu_priority=False, target_fps=1e6),
+}
 
-def make_policy(name: str, **kwargs) -> Policy:
-    """Policy registry: the names used across benches and figures."""
-    name = name.lower()
-    if name == "baseline":
-        return BaselinePolicy()
-    if name in ("bypass-all", "bypassall"):
-        return BypassAllPolicy()
-    if name == "helm":
-        return HelmPolicy(**kwargs)
-    if name in ("sms-0.9", "sms09"):
-        return SmsPolicy(p_sjf=0.9)
-    if name in ("sms-0", "sms0"):
-        return SmsPolicy(p_sjf=0.0)
-    if name == "sms":
-        return SmsPolicy(**kwargs)
-    if name == "dynprio":
-        return DynPrioPolicy(**kwargs)
-    if name in ("cm-bal", "cmbal"):
-        return CmBalPolicy(**kwargs)
-    if name == "tap":
-        return TapPolicy(**kwargs)
-    if name == "dash":
-        return DashPolicy(**kwargs)
-    if name == "drp":
-        return DrpPolicy(**kwargs)
-    if name in ("throttle", "throt"):
-        return ThrottlePolicy(cpu_priority=False, **kwargs)
-    if name in ("throtcpuprio", "throttle+cpuprio", "proposal"):
-        return ThrottlePolicy(cpu_priority=True, **kwargs)
-    if name in ("estimate", "frpu-only"):
-        # FRPU runs and logs predictions, but the target is set so high
-        # above any achievable rate that the ATU never engages — used to
-        # measure estimation accuracy (Fig. 8)
-        return ThrottlePolicy(cpu_priority=False, target_fps=1e6)
-    raise KeyError(f"unknown policy {name!r}")
+POLICY_NAMES = list(_REGISTRY)
 
 
-POLICY_NAMES = ["baseline", "sms-0.9", "sms-0", "dynprio", "dash",
-                "helm", "cm-bal", "tap", "drp", "throttle",
-                "throtcpuprio"]
+def make_policy(name: str) -> Policy:
+    """A fresh instance of the registry policy ``name``."""
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown policy {name!r}")
+    return _REGISTRY[name]()
+
 
 __all__ = ["Policy", "BaselinePolicy", "BypassAllPolicy", "HelmPolicy",
            "SmsPolicy", "DynPrioPolicy", "DashPolicy", "CmBalPolicy", "TapPolicy",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, TYPE_CHECKING
 
+from repro.config import ConfigError
 from repro.dram.schedulers import FrFcfsScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,3 +51,14 @@ class Policy:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
+
+
+def require_srrip_llc(policy: Policy, system: "HeterogeneousSystem") -> None:
+    """Refuse an LLC that is not SRRIP: TAP and DRP steer fills by RRPV,
+    which any other replacement policy would misread (under LRU a
+    near-MRU RRPV of 0 is the oldest access stamp, evicted first)."""
+    llc_policy = system.cfg.llc.policy
+    if llc_policy != "srrip":
+        raise ConfigError(f"policy {policy.name!r} steers SRRIP insertion "
+                          f"and needs llc.policy='srrip', got "
+                          f"llc.policy={llc_policy!r}")

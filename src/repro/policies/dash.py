@@ -33,9 +33,7 @@ class DashPolicy(Policy):
     URGENT_HI = 1.10
     URGENT_LO = 0.95
 
-    def __init__(self, target_fps: float = 40.0,
-                 tick_gpu_cycles: int = 256):
-        self.target_fps = target_fps
+    def __init__(self, tick_gpu_cycles: int = 256):
         self.tick_gpu_cycles = tick_gpu_cycles
         self._schedulers: list[DynPrioScheduler] = []
         self.urgent = False
@@ -55,7 +53,7 @@ class DashPolicy(Policy):
             return
         w = system.gpu.workload
         self._deadline = (system.cfg.scale.gpu_frame_cycles *
-                          w.fps_nominal / self.target_fps)
+                          w.fps_nominal / system.cfg.qos.target_fps)
         interval = self.tick_gpu_cycles * GPU_CYCLE_TICKS
         system.sim.after_call(interval, self._tick, interval)
 

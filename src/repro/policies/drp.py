@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.config import GPU_CYCLE_TICKS
 from repro.mem.replacement import SRRIP_MAX_RRPV
-from repro.policies.base import Policy
+from repro.policies.base import Policy, require_srrip_llc
 
 
 class ReuseBook:
@@ -62,6 +62,7 @@ class DrpPolicy(Policy):
         return b
 
     def attach(self, system) -> None:
+        require_srrip_llc(self, system)
         self._system = system
         system.llc.fill_rrpv_fn = self._fill_rrpv
         system.llc.eviction_observer = self._on_eviction

@@ -23,9 +23,7 @@ from repro.policies.base import Policy
 class DynPrioPolicy(Policy):
     name = "dynprio"
 
-    def __init__(self, target_fps: float = 40.0,
-                 tick_gpu_cycles: int = 256):
-        self.target_fps = target_fps
+    def __init__(self, tick_gpu_cycles: int = 256):
         self.tick_gpu_cycles = tick_gpu_cycles
         self._schedulers: list[DynPrioScheduler] = []
         self.mode_counts = {"cpu_high": 0, "equal": 0, "gpu_high": 0}
@@ -42,9 +40,10 @@ class DynPrioPolicy(Policy):
         if system.gpu is None:
             return
         w = system.gpu.workload
-        # frame deadline in GPU cycles, at this game's time scale
+        # frame deadline in GPU cycles at the QoS target, at this
+        # game's time scale
         self._deadline = (system.cfg.scale.gpu_frame_cycles *
-                          w.fps_nominal / self.target_fps)
+                          w.fps_nominal / system.cfg.qos.target_fps)
         interval = self.tick_gpu_cycles * GPU_CYCLE_TICKS
         system.sim.after_call(interval, self._tick, interval)
 

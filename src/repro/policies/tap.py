@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.config import GPU_CYCLE_TICKS
 from repro.mem.replacement import SRRIP_MAX_RRPV
-from repro.policies.base import Policy
+from repro.policies.base import Policy, require_srrip_llc
 
 
 class TapPolicy(Policy):
@@ -37,6 +37,7 @@ class TapPolicy(Policy):
         self.samples = 0
 
     def attach(self, system) -> None:
+        require_srrip_llc(self, system)
         self._system = system
         system.llc.fill_rrpv_fn = self._fill_rrpv
         if system.gpu is not None:

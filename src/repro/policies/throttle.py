@@ -41,12 +41,11 @@ class ThrottlePolicy(Policy):
         qos_cfg = system.cfg.qos
         if self.target_fps is not None:
             qos_cfg = replace(qos_cfg, target_fps=self.target_fps)
-        if not self.cpu_priority:
-            qos_cfg = replace(qos_cfg, cpu_priority_boost=False)
         self.qos = QoSController(
             system.sim, qos_cfg, system.gpu,
             system.cfg.scale.gpu_frame_cycles,
-            dram_schedulers=self._schedulers,
+            # the controller boosts every scheduler it is handed
+            dram_schedulers=self._schedulers if self.cpu_priority else (),
             correct_throttle=self.correct_throttle,
             telemetry=system.telemetry)
         self.qos.start()

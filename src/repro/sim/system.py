@@ -15,7 +15,7 @@ Section V-B).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.config import SystemConfig
 from repro.cpu.core import CpuCore
@@ -48,27 +48,17 @@ class HeterogeneousSystem:
         self.cfg = cfg
         self.mix = mix
         self.policy = policy
-        # ``monitor`` is a repro.guard.InvariantMonitor (or None): it
-        # wraps the CPU/GPU issue hooks below with conservation
-        # accounting and schedules a read-only periodic check event.
-        # ``faults`` is a repro.faults.FaultPlan (or None): its
-        # injectors sit *inside* the monitor wrapper, so an injected
-        # drop/duplicate is visible to the conservation checks.  Both
-        # are wired at construction time; a system built without them
-        # takes the exact same code paths it always did.
-        self.monitor = monitor
-        self.faults = faults
-        # ``telemetry`` is a repro.telemetry.Telemetry (or None, the
-        # default): every emitting site below guards with ``is not
-        # None``, so a telemetry-less run schedules the exact same
-        # events and produces bit-identical stats
+        # the probes: ``telemetry`` (repro.telemetry.Telemetry),
+        # ``tracer`` (repro.spans.SpanTracer), ``monitor``
+        # (repro.guard.InvariantMonitor) and ``faults``
+        # (repro.faults.FaultPlan), each None by default.  Every one
+        # attaches through its ``bind(self)`` once the machine is built
+        # (the loop at the end); emitting and stamping sites guard on
+        # ``is not None`` / ``req.span``, so a probe-less run takes the
+        # exact same code paths and schedules the same events.
         self.telemetry = telemetry
-        # ``tracer`` is a repro.spans.SpanTracer (or None): sampled
-        # requests carry stage-stamped spans; stamp sites guard on
-        # ``req.span`` so the untraced path is one ``is None`` test,
-        # and stamps never schedule events — traced runs stay
-        # bit-identical (tests/sim/test_spans_golden.py)
         self.tracer = tracer
+        self.monitor = monitor
         # ``sim`` lets tests/benchmarks inject an alternative kernel
         # (e.g. engine.ReferenceSimulator for order-equivalence checks)
         self.sim = Simulator() if sim is None else sim
@@ -87,16 +77,9 @@ class HeterogeneousSystem:
                              response_delay=self._response_delay)
         self.llc.back_invalidate = self._back_invalidate
 
-        # issue hooks, optionally wrapped (fault injectors innermost so
-        # the monitor sees and accounts for what they perturb)
-        cpu_send = self._cpu_send
-        gpu_send = self._gpu_send
-        if faults is not None:
-            cpu_send = faults.wrap_send(cpu_send, self.sim, side="cpu")
-            gpu_send = faults.wrap_send(gpu_send, self.sim, side="gpu")
-        if monitor is not None:
-            cpu_send = monitor.wrap_issue(cpu_send, self.sim)
-            gpu_send = monitor.wrap_issue(gpu_send, self.sim)
+        # the request path every agent sends into; probes interpose on
+        # it through tap_send, per side
+        self._sends = {"cpu": self._send, "gpu": self._send}
 
         # CPU cores
         self.cores: list[CpuCore] = []
@@ -107,7 +90,7 @@ class HeterogeneousSystem:
                 base_addr=(1 + i) << CPU_REGION_SHIFT,
                 mem_scale=cfg.scale.mem_scale)
             core = CpuCore(self.sim, cfg.effective_cpu(), i, trace,
-                           llc_send=cpu_send,
+                           llc_send=self._send,
                            target_instructions=cfg.scale.cpu_instructions,
                            on_target_reached=self._core_done,
                            warmup_instructions=
@@ -133,7 +116,7 @@ class HeterogeneousSystem:
             # standalone GPU runs render max_frames; heterogeneous runs
             # also stop the GPU at max_frames (CPU may finish earlier)
             self.gpu = GpuPipeline(self.sim, cfg.gpu, workload, frames,
-                                   llc_send=gpu_send,
+                                   llc_send=self._send,
                                    on_frame_done=self._frame_done,
                                    max_frames=cfg.scale.max_frames,
                                    mem_scale=cfg.scale.mem_scale)
@@ -141,33 +124,31 @@ class HeterogeneousSystem:
         self._cores_remaining = len(self.cores)
         self._stopped = False
         policy.attach(self)
-        if telemetry is not None:
-            telemetry.bind(self)
-        if tracer is not None:
-            tracer.bind(self)
-            self.llc.tracer = tracer
-            for mc in self.dram.controllers:
-                mc.tracer = tracer
-            for core in self.cores:
-                core.tracer = tracer
-            if self.gpu is not None:
-                self.gpu.tracer = tracer
-        if monitor is not None:
-            monitor.bind(self)
-        if faults is not None:
-            faults.bind(self)
+        # faults first, so the monitor's tap wraps outside the
+        # injectors and accounts for what they perturb; the order also
+        # fixes where each probe's first event lands in the queue
+        for probe in (faults, telemetry, tracer, monitor):
+            if probe is not None:
+                probe.bind(self)
+
+    # -- the request-path seam ------------------------------------------------
+
+    def tap_send(self, wrap: Callable) -> None:
+        """Interpose on the request path: for each side (``"cpu"``,
+        ``"gpu"``), ``wrap(send, side)`` returns the hook that replaces
+        that side's current send, and every core (or the GPU) is
+        pointed at it.  A later tap wraps outside the earlier ones; a
+        tap that returns ``send`` unchanged leaves its side alone."""
+        gpus = [] if self.gpu is None else [self.gpu]
+        for side, agents in (("cpu", self.cores), ("gpu", gpus)):
+            send = self._sends[side] = wrap(self._sends[side], side)
+            for agent in agents:
+                agent.llc_send = send
 
     # -- interconnect plumbing ------------------------------------------------
 
-    def _cpu_send(self, req: MemRequest) -> None:
+    def _send(self, req: MemRequest) -> None:
         d = self.ring.delay(req.source, "llc")
-        if req.span is not None:
-            self.tracer.gauge_record("ring_queued", self.sim.now,
-                                     self.ring.last_queued)
-        self.sim.after_call(d, self.llc.access, req)
-
-    def _gpu_send(self, req: MemRequest) -> None:
-        d = self.ring.delay("gpu", "llc")
         if req.span is not None:
             self.tracer.gauge_record("ring_queued", self.sim.now,
                                      self.ring.last_queued)

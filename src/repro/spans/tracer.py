@@ -176,8 +176,14 @@ class SpanTracer:
     # -- wiring ------------------------------------------------------------
 
     def bind(self, system: "HeterogeneousSystem") -> None:
-        """Called by the system once built: clock access + meta row."""
+        """Called by the system once built: clock access, the stamp
+        sites (LLC, DRAM controllers, cores, GPU) and the meta row."""
         self.now_fn = lambda: system.sim.now
+        system.llc.tracer = self
+        for agent in (*system.dram.controllers, *system.cores):
+            agent.tracer = self
+        if system.gpu is not None:
+            system.gpu.tracer = self
         self.meta = {"mix": system.mix.name,
                      "policy": system.policy.name,
                      "scale": system.cfg.scale.name,

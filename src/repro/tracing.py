@@ -93,24 +93,18 @@ class TraceRecorder:
 
     @classmethod
     def attach(cls, system) -> "TraceRecorder":
+        """Tap ``system``'s request path; taps bound earlier (fault
+        injectors, the invariant monitor) stay inside the recorder, so
+        it records every request the agents sent."""
         rec = cls()
-        orig_cpu = system._cpu_send
-        orig_gpu = system._gpu_send
+        sim = system.sim
 
-        def cpu_send(req: MemRequest):
-            rec.note(system.sim.now, req)
-            orig_cpu(req)
-
-        def gpu_send(req: MemRequest):
-            rec.note(system.sim.now, req)
-            orig_gpu(req)
-        system._cpu_send = cpu_send
-        system._gpu_send = gpu_send
-        # rebind the already-constructed agents' send hooks
-        for core in system.cores:
-            core.llc_send = cpu_send
-        if system.gpu is not None:
-            system.gpu.llc_send = gpu_send
+        def tap(send, side):
+            def recorded(req: MemRequest, _send=send):
+                rec.note(sim.now, req)
+                _send(req)
+            return recorded
+        system.tap_send(tap)
         return rec
 
     def note(self, now: int, req: MemRequest) -> None:

@@ -82,12 +82,25 @@ def test_duplicate_sends_twice():
     assert sent == [req, req]
 
 
+class FakeSystem:
+    """Just the request-path seam of ``HeterogeneousSystem``."""
+
+    def __init__(self):
+        self.sim = FakeSim()
+        self.sends = {"cpu": [].append, "gpu": [].append}
+
+    def tap_send(self, wrap):
+        for side in self.sends:
+            self.sends[side] = wrap(self.sends[side], side)
+
+
 def test_plan_filters_by_side():
     plan = FaultPlan(RequestFault("drop", side="gpu", nth=1))
-    sent = []
-    send = sent.append
-    assert plan.wrap_send(send, FakeSim(), "cpu") is send  # wrong side
-    assert plan.wrap_send(send, FakeSim(), "gpu") is not send
+    system = FakeSystem()
+    cpu, gpu = system.sends["cpu"], system.sends["gpu"]
+    plan.bind(system)
+    assert system.sends["cpu"] is cpu                  # wrong side
+    assert system.sends["gpu"] is not gpu
 
 
 def test_frpu_perturbation_validates_and_describes():

@@ -5,8 +5,8 @@ import pytest
 from repro.config import default_config
 from repro.dram.schedulers import (CpuPriorityScheduler, DynPrioScheduler,
                                    FrFcfsScheduler, SmsScheduler)
-from repro.mixes import MIXES_M, Mix
-from repro.policies import POLICY_NAMES, make_policy
+from repro.mixes import MIXES_M, MIXES_W, Mix
+from repro.policies import POLICY_NAMES, HelmPolicy, make_policy
 from repro.policies.cmbal import CmBalGate
 from repro.sim.system import HeterogeneousSystem
 
@@ -16,6 +16,18 @@ def test_registry_names():
         assert make_policy(name) is not None
     with pytest.raises(KeyError):
         make_policy("magic")
+
+
+def test_registry_has_one_name_per_policy():
+    assert POLICY_NAMES == ["baseline", "bypass-all", "helm", "sms-0.9",
+                            "sms-0", "dynprio", "dash", "cm-bal", "tap",
+                            "drp", "throttle", "throtcpuprio", "estimate"]
+    for alias in ("bypassall", "sms09", "sms0", "sms", "cmbal", "throt",
+                  "throttle+cpuprio", "proposal", "frpu-only", "Baseline"):
+        with pytest.raises(KeyError):
+            make_policy(alias)
+    with pytest.raises(TypeError):
+        make_policy("helm", aggressive=False)
 
 
 def test_scheduler_factories():
@@ -56,7 +68,7 @@ def test_helm_bypasses_shader_kinds_when_tolerant():
 
 def test_helm_non_aggressive_spares_rop():
     from repro.mem.request import MemRequest
-    pol = make_policy("helm", aggressive=False)
+    pol = HelmPolicy(aggressive=False)
     pol.tolerant = True
     assert pol._bypass(MemRequest(0, False, "gpu", "texture"))
     assert not pol._bypass(MemRequest(0, False, "gpu", "color"))
@@ -83,7 +95,29 @@ def test_cmbal_gate_transparent_at_full_concurrency():
 def test_throttle_policy_names():
     assert make_policy("throttle").name == "throttle"
     assert make_policy("throtcpuprio").name == "throtcpuprio"
-    assert make_policy("proposal").name == "throtcpuprio"
+
+
+def _w8(name, **qos):
+    m = MIXES_W["W8"]
+    cfg = default_config(scale="smoke", n_cpus=m.n_cpus).with_qos(**qos)
+    pol = make_policy(name)
+    return HeterogeneousSystem(cfg, m, pol), pol
+
+
+def test_only_throtcpuprio_hands_qos_the_dram_schedulers():
+    _, boosted = _w8("throtcpuprio")
+    assert boosted.qos.dram_schedulers == boosted._schedulers != []
+    for name in ("throttle", "estimate"):
+        _, pol = _w8(name)
+        assert pol.qos.dram_schedulers == []
+
+
+@pytest.mark.parametrize("name", ["dynprio", "dash"])
+def test_deadline_follows_the_qos_target(name):
+    for fps in (30.0, 50.0):
+        s, pol = _w8(name, target_fps=fps)
+        assert pol._deadline == pytest.approx(
+            s.cfg.scale.gpu_frame_cycles * s.gpu.workload.fps_nominal / fps)
 
 
 def test_policies_attach_cleanly_without_gpu():

@@ -1,8 +1,10 @@
 """Tests for the TAP-lite and DRP-lite LLC-management extensions."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.config import default_config
+from repro.config import ConfigError, LlcConfig, default_config
 from repro.mem.replacement import SRRIP_MAX_RRPV
 from repro.mem.request import MemRequest
 from repro.mixes import Mix
@@ -104,3 +106,16 @@ def test_distant_insertion_is_the_llc_srrip_max(name):
     else:
         pol.book("texture").dead = pol.min_samples
     assert pol._fill_rrpv(MemRequest(0, False, "gpu", "texture")) == llc_max
+
+
+@pytest.mark.parametrize("name", ["tap", "drp"])
+def test_refuses_an_llc_that_is_not_srrip(name):
+    """Under LRU an RRPV override lands in an access stamp (DRP's
+    near-MRU 0 would be evicted first), so both refuse at attach."""
+    cfg = default_config(scale="smoke", n_cpus=1)
+    lru = replace(cfg, llc=LlcConfig(policy="lru"))
+    mix = Mix("t", "Quake4", (403,))
+    with pytest.raises(ConfigError, match=rf"'{name}'.*llc.policy='lru'"):
+        HeterogeneousSystem(lru, mix, make_policy(name))
+    system = HeterogeneousSystem(cfg, mix, make_policy(name))
+    assert system.llc.fill_rrpv_fn is not None

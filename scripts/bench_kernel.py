@@ -371,6 +371,82 @@ def bench_sms(reps: int) -> dict:
             "speedup_vs_legacy": round(legacy / wall, 2)}
 
 
+def _cache_geometries() -> dict:
+    """The functional caches the simulator runs, built from the smoke
+    scale config the figures use: a core's 8-way LRU L1D, the GPU's
+    32-way LRU colour ROP L2, and the 16-way SRRIP LLC."""
+    from repro.config import default_config
+    from repro.gpu.caches import GpuCacheHierarchy
+    from repro.mem.cache import Cache
+
+    cfg = default_config(scale="smoke")
+    return {
+        "private_l1d_lru": lambda: Cache(cfg.effective_cpu().l1d),
+        "gpu_rop_l2_lru": lambda: GpuCacheHierarchy(
+            cfg.gpu.caches, cfg.scale.mem_scale).color_l2,
+        "llc_srrip": lambda: Cache(cfg.effective_llc().cache_config()),
+    }
+
+
+def bench_caches(n_ops: int, reps: int) -> dict:
+    """L1 row: cost per lookup hit and per allocate-with-eviction.
+
+    Each geometry is filled to capacity with sequential lines, then
+    times ``n_ops`` lookups of seeded-random resident lines (every one
+    a hit) and ``n_ops`` allocations of fresh lines (every one evicts);
+    the figures include the timing loop's own iteration.  Each timed
+    window is followed by a ``PROBE_EVENTS`` micro ``hetero_dense``
+    probe, and the row records the best-of-``reps`` ns per operation
+    both raw and in equivalent kernel events (ns per operation over
+    the best probe's ns per event), which cancels host speed the way
+    the gated rows do.  Only the public :class:`repro.mem.cache.Cache`
+    API is used, so the same function measures any revision of the
+    cache.
+    """
+    sc = SCENARIOS["hetero_dense"]
+
+    def probe() -> float:
+        return _drive(Simulator(), PROBE_EVENTS, sc["chains"], sc["deltas"],
+                      seed=1) * 1e9 / PROBE_EVENTS
+
+    def timed(op, addrs) -> tuple[float, float]:
+        t0 = time.perf_counter()
+        for addr in addrs:
+            op(addr)
+        return (time.perf_counter() - t0) * 1e9 / len(addrs), probe()
+
+    out = {}
+    for name, make in _cache_geometries().items():
+        hits, evicts = [], []
+        for _ in range(reps):
+            c = make()
+            step = c.line_bytes
+            capacity = c.n_sets * c.ways
+            resident = [i * step for i in range(capacity)]
+            for addr in resident:
+                c.allocate(addr)
+            hits.append(timed(c.lookup, random.Random(1).choices(
+                resident, k=n_ops)))
+            evicts.append(timed(c.allocate, [(capacity + i) * step
+                                             for i in range(n_ops)]))
+            assert c.hits == n_ops and c.misses == 0
+        row = {"policy": c.cfg.policy, "sets": c.n_sets, "ways": c.ways}
+        for key, samples in (("lookup_hit", hits),
+                             ("allocate_evict", evicts)):
+            ns = min(op for op, _ in samples)
+            row[f"{key}_ns"] = round(ns, 1)
+            row[f"{key}_equiv_events"] = round(
+                ns / min(pr for _, pr in samples), 3)
+        out[name] = row
+        print(f"  {name:16s} {row['policy']:5s} {c.n_sets:4d} sets x "
+              f"{c.ways:2d} ways   lookup hit {row['lookup_hit_ns']:6.1f} "
+              f"ns = {row['lookup_hit_equiv_events']:.3f} ev   "
+              f"allocate+evict {row['allocate_evict_ns']:6.1f} ns = "
+              f"{row['allocate_evict_equiv_events']:.3f} ev")
+    return {"layer": "L1", "machine": _machine(), "ops": n_ops,
+            "reps": reps, "geometries": out}
+
+
 def check_sms(result: dict, baseline: dict) -> bool:
     """CI gate for the L2 M13/sms-0.9 row: equivalent events within
     1.10x of the committed baseline (absent baseline row: pass)."""
@@ -484,6 +560,8 @@ def run_bench(quick: bool) -> dict:
     print("L2 single run (M13 sms-0.9 smoke, batched vs legacy DRAM "
           "path):")
     sms = bench_sms(3)
+    print("L1 functional caches (ns per operation):")
+    caches = bench_caches(20_000, 7)
     geomean = round(math.exp(statistics.fmean(
         math.log(s["speedup"]) for s in micro.values())), 2)
     print(f"headline micro speedup (geomean): {geomean}x")
@@ -511,6 +589,7 @@ def run_bench(quick: bool) -> dict:
         "macro_full_system": macro,
         "macro_components": components,
         "l2_sms": sms,
+        "l1_caches": caches,
         "spans_off": spans,
     }
 
@@ -578,6 +657,14 @@ def main(argv=None) -> int:
             result["macro_components"]["speedup_vs_prior_baseline"] = \
                 speedup
             print(f"M7 macro speedup vs prior baseline: {speedup}x")
+        # the L1 row keeps the ledger it replaces beside it: the same
+        # operations timed by the same function on the prior code
+        prior_l1 = prior_ledger.get("l1_caches")
+        if prior_l1 and prior_l1["machine"] == result["machine"]:
+            result["l1_caches"]["prior"] = {
+                name: {k: v for k, v in row.items()
+                       if k.endswith(("_ns", "_equiv_events"))}
+                for name, row in prior_l1["geometries"].items()}
     out = Path(args.out) if args.out else BASELINE
     out.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {out}")

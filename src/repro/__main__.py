@@ -332,7 +332,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run one mix under one policy")
     p.add_argument("--mix", default="M7")
-    p.add_argument("--policy", default="throtcpuprio")
+    p.add_argument("--policy", default="throtcpuprio", choices=POLICY_NAMES)
     # each probe flag selects its own uncached run: at most one per run
     probe = p.add_mutually_exclusive_group()
     probe.add_argument("--profile", action="store_true",
@@ -394,7 +394,7 @@ def main(argv=None) -> int:
     p.add_argument("--predictors", default="all", metavar="A,B,...",
                    help="predictors to pit against each other "
                         "(default: all registered)")
-    p.add_argument("--policy", default="throtcpuprio",
+    p.add_argument("--policy", default="throtcpuprio", choices=POLICY_NAMES,
                    help="throttling policy consulting the predictor "
                         "(default throtcpuprio)")
     p.set_defaults(fn=cmd_compare_predictors)
@@ -444,7 +444,7 @@ def main(argv=None) -> int:
                        help="fault-injection campaign: every fault "
                             "detected or tolerated, never silent")
     p.add_argument("--mix", default="W8")
-    p.add_argument("--policy", default="throtcpuprio")
+    p.add_argument("--policy", default="throtcpuprio", choices=POLICY_NAMES)
     p.add_argument("--only", metavar="A,B,...",
                    help="run only these scenarios")
     p.add_argument("--list-scenarios", action="store_true",
@@ -471,6 +471,13 @@ def main(argv=None) -> int:
             # a sampling rate without a recording would be ignored
             sub.choices[args.cmd].error(
                 "--span-sample needs --trace-spans")
+    if args.cmd == "compare":
+        unknown = [p for p in args.policies.split(",")
+                   if p not in POLICY_NAMES]
+        if unknown:
+            sub.choices["compare"].error(
+                f"unknown --policies {','.join(unknown)} (choose from "
+                f"{', '.join(POLICY_NAMES)})")
     if args.jobs is not None:
         # route every layer (run_many defaults, figure prefetches)
         # through the requested fan-out

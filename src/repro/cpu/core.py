@@ -238,7 +238,7 @@ class CpuCore:
 
     def _retire(self, n: int) -> None:
         self.instructions += n
-        self._c_inst.inc(n)
+        self._c_inst.value += n
         if self.warm_time is None and \
                 self.instructions >= self.warmup_instructions:
             self.warm_time = int(self._time)
@@ -270,9 +270,9 @@ class CpuCore:
         self._inflight.add(line_addr)
         addr = line_addr
         # ifetch LLC miss: front end stalls until the line returns
-        self._c_llc_ifetch.inc()
+        self._c_llc_ifetch.value += 1
         self._stall = "ifetch"
-        self._stalls["ifetch"].inc()
+        self._stalls["ifetch"].value += 1
         req = MemRequest(addr, False, self.name, "inst",
                          on_done=self._ifetch_done,
                          created_at=int(self._time))
@@ -324,7 +324,7 @@ class CpuCore:
                 continue
             self._inflight.add(pf_addr)
             self._pf_outstanding += 1
-            self._c_prefetches.inc()
+            self._c_prefetches.value += 1
             req = MemRequest(pf_addr, False, self.name, "prefetch",
                              on_done=self._prefetch_done,
                              created_at=int(self._time))
@@ -337,7 +337,7 @@ class CpuCore:
         self._fill(self.l2, req.addr)
 
     def _issue_load(self, addr: int, serial: bool) -> None:
-        self._c_llc_loads.inc()
+        self._c_llc_loads.value += 1
         self.outstanding += 1
         req = MemRequest(addr, False, self.name, "load",
                          on_done=self._load_done,
@@ -345,10 +345,10 @@ class CpuCore:
         if serial:
             req.meta = {"serial": True}
             self._stall = "serial"
-            self._stalls["serial"].inc()
+            self._stalls["serial"].value += 1
         elif self.outstanding >= self.mlp:
             self._stall = "mlp"
-            self._stalls["mlp"].inc()
+            self._stalls["mlp"].value += 1
         self._send(req)
 
     def _load_done(self, req: MemRequest) -> None:
@@ -361,10 +361,10 @@ class CpuCore:
             self._resume()
 
     def _issue_store(self, addr: int) -> None:
-        self._c_llc_stores.inc()
+        self._c_llc_stores.value += 1
         if self.wb_used >= self.cfg.write_buffer:
             self._stall = "wb"
-            self._stalls["wb"].inc()
+            self._stalls["wb"].value += 1
         self.wb_used += 1
         req = MemRequest(addr, False, self.name, "store",
                          on_done=self._store_done,

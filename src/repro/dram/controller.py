@@ -584,7 +584,7 @@ class MemoryController:
             sp.stamp("dram_done", done)
         self.bus_free_at = done
         side = "gpu" if entry.is_gpu else "cpu"
-        self._served[(side, entry.is_write)].inc()
+        self._served[(side, entry.is_write)].value += 1
         if not entry.is_write:
             self._lat[side].add(done - entry.arrival)
             self.sim.at_call(done, _COMPLETE, entry.req)

@@ -75,11 +75,11 @@ class GpuCacheHierarchy:
         """
         for lvl in levels:
             if lvl.lookup(addr) is not None:
-                self._filtered.inc()
+                self._filtered.value += 1
                 return False
         for lvl in levels:
             lvl.allocate(addr, owner="gpu")
-        self._llc_reads.inc()
+        self._llc_reads.value += 1
         return True
 
     def _rop_access(self, addr: int, write: bool, l1: Cache, l2: Cache,
@@ -89,11 +89,11 @@ class GpuCacheHierarchy:
         wbs: list[tuple[int, str]] = []
         line = l1.lookup(addr, write=write)
         if line is not None:
-            self._filtered.inc()
+            self._filtered.value += 1
             return False, wbs
         l2_line = l2.lookup(addr, write=write)
         if l2_line is not None:
-            self._filtered.inc()
+            self._filtered.value += 1
             ev = l1.allocate(addr, write=write, owner="gpu", kind=kind)
             if ev is not None and ev.dirty:
                 # L1 victim folds into L2 (both internal)
@@ -103,7 +103,7 @@ class GpuCacheHierarchy:
         ev2 = l2.allocate(addr, write=write, owner="gpu", kind=kind)
         if ev2 is not None and ev2.dirty:
             wbs.append((ev2.addr, kind))
-            self._llc_writes.inc()
+            self._llc_writes.value += 1
         ev1 = l1.allocate(addr, write=write, owner="gpu", kind=kind)
         if ev1 is not None and ev1.dirty:
             l2_ev = self._fold_into_l2(l2, ev1.addr, kind)
@@ -111,13 +111,13 @@ class GpuCacheHierarchy:
                 wbs.append(l2_ev)
         if write and write_allocate_no_fetch:
             return False, wbs        # full-line overwrite: no fetch
-        self._llc_reads.inc()
+        self._llc_reads.value += 1
         return True, wbs
 
     def _fold_into_l2(self, l2: Cache, addr: int, kind: str):
         ev = l2.allocate(addr, write=True, owner="gpu", kind=kind)
         if ev is not None and ev.dirty:
-            self._llc_writes.inc()
+            self._llc_writes.value += 1
             return (ev.addr, kind)
         return None
 
@@ -146,16 +146,17 @@ class GpuCacheHierarchy:
         raise ValueError(f"unknown GPU access kind {kind}")
 
     def flush_rop(self) -> list[tuple[int, str]]:
-        """End-of-frame flush of dirty ROP lines (footnote 6 behaviour)."""
+        """End-of-frame flush of dirty ROP lines (footnote 6 behaviour).
+
+        Writebacks leave cache by cache, set by set, each set in fill
+        order (:meth:`Cache.clean_dirty`): their order fixes the LLC's
+        arrival order, so results depend on it, and an LRU set's own
+        order is recency, not fill."""
         wbs: list[tuple[int, str]] = []
         for cache, kind in ((self.color_l1, "color"),
                             (self.color_l2, "color"),
                             (self.depth_l1, "depth"),
                             (self.depth_l2, "depth")):
-            for s in cache._sets:
-                for ln in s.values():
-                    if ln.dirty:
-                        ln.dirty = False
-                        wbs.append((cache.addr_of(ln.tag), kind))
-                        self._llc_writes.inc()
+            wbs.extend((addr, kind) for addr in cache.clean_dirty())
+        self._llc_writes.value += len(wbs)
         return wbs

@@ -108,6 +108,12 @@ class GpuPipeline:
         self._draining = False
         self._tile_start = 0.0
         self._compute_share = 1.0
+        #: the current tile's access arrays as plain lists, converted
+        #: once per tile so the per-access loop indexes native ints and
+        #: bools instead of extracting a NumPy scalar per field
+        self._kinds: list = []
+        self._addrs: list = []
+        self._writes: list = []
         self._last_llc_issue = 0.0
         self.stopped = False
         #: span tracer (None unless the system wires one) — samples
@@ -224,6 +230,12 @@ class GpuPipeline:
                 # shader/ROP work interleaves with memory issue, so the
                 # GPU generates traffic smoothly instead of in bursts
                 self._compute_share = tile.compute_ticks / max(n, 1)
+                self._kinds = tile.kinds.tolist()
+                self._addrs = tile.addrs.tolist()
+                self._writes = tile.writes.tolist()
+            kinds = self._kinds
+            addrs = self._addrs
+            writes = self._writes
             while self._acc_idx < n:
                 if budget <= 0 or self._stall is not None:
                     break
@@ -231,8 +243,7 @@ class GpuPipeline:
                 self._acc_idx += 1
                 budget -= 1
                 self._time += self._compute_share
-                self._do_access(int(tile.kinds[i]), int(tile.addrs[i]),
-                                bool(tile.writes[i]))
+                self._do_access(kinds[i], addrs[i], writes[i])
             if self._stall is not None:
                 return
             if self._acc_idx >= n:
@@ -287,7 +298,7 @@ class GpuPipeline:
     # -- per-access handling ------------------------------------------------------
 
     def _do_access(self, kind: int, addr: int, write: bool) -> None:
-        self._c_internal.inc()
+        self._c_internal.value += 1
         needs_read, writebacks = self.caches.access(kind, addr, write)
         kind_name = KIND_NAMES[kind]
         for wb_addr, wb_kind in writebacks:
@@ -310,7 +321,7 @@ class GpuPipeline:
         if not write:
             if self.outstanding >= self.cfg.mshr_entries:
                 self._stall = "mshr"
-                self._c_mshr_stall.inc()
+                self._c_mshr_stall.value += 1
                 # account and retry from the response handler; the access
                 # has NOT been sent yet, so remember it
                 self._pending_send = (addr, kind)
@@ -329,14 +340,14 @@ class GpuPipeline:
         self.sim.at_call(when, self.llc_send, req)
 
     def _count_llc(self, write: bool, kind: str) -> None:
-        self._c_llc.inc()
+        self._c_llc.value += 1
         self._frame_llc += 1
         self._rtp_llc += 1
         if write:
-            self._c_llc_writes.inc()
+            self._c_llc_writes.value += 1
         else:
-            self._c_llc_reads.inc()
-        self._kind_counts[kind].inc()
+            self._c_llc_reads.value += 1
+        self._kind_counts[kind].value += 1
 
     def _fill_done(self, req: MemRequest) -> None:
         self.outstanding -= 1

@@ -31,6 +31,10 @@ class RingInterconnect:
                                                   "mc1"])
         self._index = {name: i for i, name in enumerate(self.stops)}
         self.n = len(self.stops)
+        #: ``(src, dst) -> hops`` for every pair of stops, so the
+        #: per-message :meth:`delay` is one dict lookup
+        self._hops = {(a, b): self.hops(a, b)
+                      for a in self.stops for b in self.stops}
         #: next free injection slot per direction (cw / ccw)
         self._free_at = {"cw": 0, "ccw": 0}
         #: queueing component of the most recent contention-model
@@ -63,9 +67,9 @@ class RingInterconnect:
         Under the contention model the delay additionally includes the
         wait for the direction's injection slot.
         """
-        h = self.hops(src, dst)
-        self._messages.inc()
-        self._hop_total.inc(h)
+        h = self._hops[src, dst]
+        self._messages.value += 1
+        self._hop_total.value += h
         base = h * self.cfg.hop_ticks
         if self.model == "latency":
             return base               # last_queued stays 0
@@ -78,7 +82,7 @@ class RingInterconnect:
         queued = start - now
         self._free_at[direction] = start + self.slot_ticks
         if queued:
-            self._queued_ticks.inc(queued)
+            self._queued_ticks.value += queued
         self.last_queued = queued
         return base + queued
 

@@ -107,14 +107,14 @@ class SharedLLC:
             if c is None:
                 c = self._gpu_kind[req.kind] = self.stats.counter(
                     f"gpu_{req.kind}_accesses")
-            c.inc()
+            c.value += 1
 
     # -- entry point ----------------------------------------------------
 
     def access(self, req: MemRequest) -> None:
         """A request arrives at the LLC controller."""
         side = self._side(req)
-        self._acc[side].inc()
+        self._acc[side].value += 1
         if req.is_gpu:
             self._count_kind(req)
         addr = req.addr & self._line_mask
@@ -128,7 +128,7 @@ class SharedLLC:
             sp.stamp("llc_enter", self.sim.now)
         line = self.cache.lookup(addr)
         if line is not None:
-            self._hit[side].inc()
+            self._hit[side].value += 1
             delay = self.cfg.latency + self.response_delay(req)
             if sp is not None:
                 sp.stamp("llc_hit", self.sim.now)
@@ -136,7 +136,7 @@ class SharedLLC:
                                       - req.created_at)
             self.sim.after_call(delay, _COMPLETE, req)
             return
-        self._miss[side].inc()
+        self._miss[side].value += 1
         self._read_miss(req, addr)
 
     # -- write path ------------------------------------------------------
@@ -152,9 +152,9 @@ class SharedLLC:
         line = self.cache.lookup(addr, write=True)
         side = self._side(req)
         if line is not None:
-            self._hit[side].inc()
+            self._hit[side].value += 1
         else:
-            self._miss[side].inc()
+            self._miss[side].value += 1
             ev = self.cache.allocate(addr, write=True, owner=req.source,
                                      kind=req.kind)
             if ev is not None:
@@ -171,7 +171,7 @@ class SharedLLC:
     def _read_miss(self, req: MemRequest, addr: int) -> None:
         if req.is_gpu and self.bypass_fn is not None and self.bypass_fn(req):
             req.bypass = True
-            self._bypassed.inc()
+            self._bypassed.value += 1
         sp = req.span
         if sp is not None:
             sp.stamp("llc_miss", self.sim.now)
@@ -253,10 +253,10 @@ class SharedLLC:
             self.eviction_observer(ev.owner, ev.kind, ev.reused)
         core_dirty = False
         if ev.owner.startswith("cpu") and self.back_invalidate is not None:
-            self._backinv.inc()
+            self._backinv.value += 1
             core_dirty = bool(self.back_invalidate(ev.owner, ev.addr))
         if ev.dirty or core_dirty:
-            self._wb.inc()
+            self._wb.value += 1
             wb = MemRequest(ev.addr, True, ev.owner, ev.kind,
                             created_at=self.sim.now)
             self.dram_send(wb)

@@ -60,18 +60,18 @@ class MshrFile:
         entry = self._entries.get(addr)
         if entry is not None:
             entry.waiters.append(req)
-            self._secondary.inc()
+            self._secondary.value += 1
             return None
         if self.full:
             raise RuntimeError("MSHR allocate on full file")
         entry = MshrEntry(addr, now)
         entry.waiters.append(req)
         self._entries[addr] = entry
-        self._primary.inc()
+        self._primary.value += 1
         return entry
 
     def note_full(self) -> None:
-        self._full_stalls.inc()
+        self._full_stalls.value += 1
 
     def complete(self, addr: int) -> list[MemRequest]:
         """Fill arrived: release and return all waiters for ``addr``."""

@@ -1,14 +1,18 @@
 """Replacement policies: LRU, 2-bit SRRIP (Jaleel et al., ISCA'10), random.
 
-A policy instance is attached to one cache and is consulted per set.
-Lines carry a single integer ``repl`` field whose meaning is
-policy-private (LRU timestamp, RRPV, ...).
+LRU has no policy object: :class:`repro.mem.cache.Cache` keeps an LRU
+set's lines in recency order itself (the set dict's insertion order,
+least recent first), so a hit, a fill and a victim are each O(1) dict
+operations.  SRRIP and random replacement are policy objects, attached
+to one cache and consulted per set; their lines carry a single integer
+``repl`` field whose meaning is policy-private (the RRPV for SRRIP) and
+their sets stay in fill order.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Protocol, Sequence, TYPE_CHECKING
+from typing import Collection, Optional, Protocol, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mem.cache import Line
@@ -21,49 +25,25 @@ SRRIP_MAX_RRPV = (1 << SRRIP_BITS) - 1
 
 
 class ReplacementPolicy(Protocol):
-    """Per-cache replacement policy (stateless across sets except RNG)."""
+    """Per-cache replacement policy (stateless across sets except RNG).
+
+    ``victim`` receives the full set's lines in fill order."""
 
     def on_hit(self, line: "Line") -> None: ...
     def on_fill(self, line: "Line") -> None: ...
-    def victim(self, lines: Sequence["Line"]) -> "Line": ...
-
-
-class LruPolicy:
-    """Classic least-recently-used via a global access stamp."""
-
-    def __init__(self) -> None:
-        self._stamp = 0
-
-    def _next(self) -> int:
-        self._stamp += 1
-        return self._stamp
-
-    def on_hit(self, line: "Line") -> None:
-        line.repl = self._next()
-
-    def on_fill(self, line: "Line") -> None:
-        line.repl = self._next()
-
-    def victim(self, lines: Sequence["Line"]) -> "Line":
-        best = lines[0]
-        for ln in lines:
-            if ln.repl < best.repl:
-                best = ln
-        return best
+    def victim(self, lines: Collection["Line"]) -> "Line": ...
 
 
 class SrripPolicy:
-    """Static re-reference interval prediction with ``bits``-wide RRPVs.
+    """Static re-reference interval prediction with two-bit RRPVs.
 
     Fills insert at ``max-1`` (long re-reference), hits promote to 0,
-    victims are lines at ``max`` (aging all lines until one appears).
-    This is the LLC policy of Table I.
+    victims are lines at ``max``: when none is, every line ages until
+    one gets there.  This is the LLC policy of Table I.
     """
 
-    def __init__(self, bits: int = SRRIP_BITS):
-        if bits < 1:
-            raise ValueError("srrip needs >= 1 bit")
-        self.max_rrpv = (1 << bits) - 1
+    def __init__(self) -> None:
+        self.max_rrpv = SRRIP_MAX_RRPV
 
     def on_hit(self, line: "Line") -> None:
         line.repl = 0
@@ -71,13 +51,25 @@ class SrripPolicy:
     def on_fill(self, line: "Line") -> None:
         line.repl = self.max_rrpv - 1
 
-    def victim(self, lines: Sequence["Line"]) -> "Line":
-        while True:
-            for ln in lines:
-                if ln.repl >= self.max_rrpv:
+    def victim(self, lines: Collection["Line"]) -> "Line":
+        """The first line at ``max``; with none there, the closed form
+        of ageing the set one step at a time: the first line holding
+        the largest RRPV wins, and every line ages by the distance from
+        that RRPV to ``max`` (the steps the loop would have taken)."""
+        top_rrpv = self.max_rrpv
+        best = None
+        top = -1
+        for ln in lines:
+            r = ln.repl
+            if r > top:
+                if r >= top_rrpv:
                     return ln
-            for ln in lines:
-                ln.repl += 1
+                best = ln
+                top = r
+        age = top_rrpv - top
+        for ln in lines:
+            ln.repl += age
+        return best
 
 
 class RandomPolicy:
@@ -93,14 +85,16 @@ class RandomPolicy:
     def on_fill(self, line: "Line") -> None:
         pass
 
-    def victim(self, lines: Sequence["Line"]) -> "Line":
-        return lines[self._rng.randrange(len(lines))]
+    def victim(self, lines: Collection["Line"]) -> "Line":
+        return list(lines)[self._rng.randrange(len(lines))]
 
 
-def make_policy(name: str, *, seed: int = 0) -> ReplacementPolicy:
-    """Policy registry used by :class:`repro.mem.cache.Cache`."""
+def make_policy(name: str, *, seed: int = 0) -> Optional[ReplacementPolicy]:
+    """Policy registry used by :class:`repro.mem.cache.Cache`.
+
+    ``"lru"`` maps to ``None``: the cache orders an LRU set itself."""
     if name == "lru":
-        return LruPolicy()
+        return None
     if name == "srrip":
         return SrripPolicy()
     if name == "random":

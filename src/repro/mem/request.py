@@ -27,11 +27,13 @@ class MemRequest:
 
     ``span`` is ``None`` unless a :class:`repro.spans.SpanTracer`
     sampled this request; every stage stamp site guards on it, so the
-    untraced hot path pays one attribute test.
+    untraced hot path pays one attribute test.  ``is_gpu`` is fixed by
+    ``source`` at construction (a slot read, not a property call, on
+    the LLC and DRAM paths).
     """
 
     __slots__ = ("addr", "is_write", "source", "kind", "on_done",
-                 "created_at", "meta", "bypass", "span")
+                 "created_at", "meta", "bypass", "span", "is_gpu")
 
     def __init__(self, addr: int, is_write: bool, source: str,
                  kind: str = "data",
@@ -40,6 +42,7 @@ class MemRequest:
         self.addr = addr
         self.is_write = is_write
         self.source = source
+        self.is_gpu = source == GPU_SOURCE
         self.kind = kind
         self.on_done = on_done
         self.created_at = created_at
@@ -48,10 +51,6 @@ class MemRequest:
         self.bypass = False
         #: set by the span tracer when this request is sampled
         self.span = None
-
-    @property
-    def is_gpu(self) -> bool:
-        return self.source == GPU_SOURCE
 
     def complete(self) -> None:
         if self.on_done is not None:

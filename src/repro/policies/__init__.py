@@ -39,10 +39,15 @@ POLICY_NAMES = list(_REGISTRY)
 
 
 def make_policy(name: str) -> Policy:
-    """A fresh instance of the registry policy ``name``."""
+    """A fresh instance of the registry policy ``name``, labelled with
+    that name (``RunResult.policy_name``, telemetry ``run_meta`` and
+    span ``meta`` read it): ``estimate`` is a ``ThrottlePolicy`` that
+    would otherwise call itself ``throttle``."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown policy {name!r}")
-    return _REGISTRY[name]()
+    policy = _REGISTRY[name]()
+    policy.name = name
+    return policy
 
 
 __all__ = ["Policy", "BaselinePolicy", "BypassAllPolicy", "HelmPolicy",

@@ -55,8 +55,7 @@ class Policy:
 
 def require_srrip_llc(policy: Policy, system: "HeterogeneousSystem") -> None:
     """Refuse an LLC that is not SRRIP: TAP and DRP steer fills by RRPV,
-    which any other replacement policy would misread (under LRU a
-    near-MRU RRPV of 0 is the oldest access stamp, evicted first)."""
+    which random replacement would ignore and an LRU cache refuses."""
     llc_policy = system.cfg.llc.policy
     if llc_policy != "srrip":
         raise ConfigError(f"policy {policy.name!r} steers SRRIP insertion "

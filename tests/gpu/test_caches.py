@@ -69,6 +69,20 @@ def test_flush_rop_returns_dirty_lines_once(h):
     assert h.flush_rop() == []        # idempotent: all clean now
 
 
+def test_flush_rop_writes_each_set_back_in_fill_order(h):
+    """An LRU set is kept in recency order, but the flush leaves it in
+    fill order: the writebacks reach the LLC in that order, and the
+    M13 results depend on it."""
+    l2 = h.color_l2
+    stride = l2.n_sets * l2.line_bytes          # next line of the set
+    a, b, c = (0x40000 + i * stride for i in range(3))
+    for addr in (a, b, c):
+        l2.allocate(addr, write=True, owner="gpu", kind="color")
+    l2.lookup(a)
+    l2.lookup(b)                                # recency: c, a, b
+    assert h.flush_rop() == [(a, "color"), (b, "color"), (c, "color")]
+
+
 def test_zhier_and_shader_i_paths(h):
     assert h.access(KIND_ZHIER, 0x8000, False)[0]
     assert not h.access(KIND_ZHIER, 0x8000, False)[0]

@@ -44,6 +44,24 @@ def test_standalone_refuses_game_and_spec_together(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "--mix", "W8", "--policy", "magic"],
+    ["faults", "--policy", "magic", "--only", "worker-crash"],
+    ["compare-predictors", "--mixes", "W8", "--policy", "magic"],
+    ["compare", "--mix", "W8", "--policies", "baseline,magic"],
+])
+def test_unknown_policy_is_a_usage_error(argv, capsys):
+    """A policy name outside the registry exits 2 before anything runs,
+    listing the registry's names, instead of a ``KeyError`` traceback
+    from ``make_policy`` (or a failed row from ``compare``)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--scale", "smoke"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "magic" in err
+    assert "throtcpuprio" in err and "estimate" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["run", "--telemetry", "t.jsonl", "--guard"],
     ["run", "--trace-spans", "s.jsonl", "--telemetry", "t.jsonl"],
     ["run", "--profile", "--trace-spans", "s.jsonl"],

@@ -8,6 +8,7 @@ from repro.dram.schedulers import (CpuPriorityScheduler, DynPrioScheduler,
 from repro.mixes import MIXES_M, MIXES_W, Mix
 from repro.policies import POLICY_NAMES, HelmPolicy, make_policy
 from repro.policies.cmbal import CmBalGate
+from repro.sim.runner import run_system
 from repro.sim.system import HeterogeneousSystem
 
 
@@ -95,6 +96,27 @@ def test_cmbal_gate_transparent_at_full_concurrency():
 def test_throttle_policy_names():
     assert make_policy("throttle").name == "throttle"
     assert make_policy("throtcpuprio").name == "throtcpuprio"
+
+
+def test_every_registry_policy_is_labelled_with_its_name():
+    assert [make_policy(n).name for n in POLICY_NAMES] == POLICY_NAMES
+
+
+def test_estimate_runs_are_labelled_estimate():
+    """The run label, the telemetry header and the span meta row all
+    read the registry name, not the ThrottlePolicy default."""
+    from repro.spans import SpanTracer
+    from repro.telemetry import Telemetry
+    m = MIXES_W["W8"]
+    cfg = default_config(scale="smoke", n_cpus=m.n_cpus)
+    tel = Telemetry()
+    tracer = SpanTracer()
+    r = run_system(cfg, m, make_policy("estimate"), telemetry=tel,
+                   tracer=tracer)
+    assert r.policy_name == "estimate"
+    assert [rec["policy"] for rec in tel.records
+            if rec["type"] == "run_meta"] == ["estimate"]
+    assert tracer.meta["policy"] == "estimate"
 
 
 def _w8(name, **qos):

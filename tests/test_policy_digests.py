@@ -49,7 +49,7 @@ DIGESTS = {
     "throtcpuprio":
         "be080e9ecd36393b55e21d0e6dbeed1f0ee4bbd9a73ca7d48695786a073d0995",
     "estimate":
-        "57600d9c0d40873e48bd08e4718b26ceec96807eea19aeca04fcda122dcc6f59",
+        "3aeacb0b71d24d98cf3f8bdb75a779f480b9cc1ba28b1ef31f1c56f20e4aa36e",
 }
 
 

@@ -56,17 +56,17 @@ class SrripPolicy:
         of ageing the set one step at a time: the first line holding
         the largest RRPV wins, and every line ages by the distance from
         that RRPV to ``max`` (the steps the loop would have taken)."""
-        top_rrpv = self.max_rrpv
+        max_rrpv = self.max_rrpv
         best = None
-        top = -1
+        top = -1                     # RRPVs are never negative
         for ln in lines:
             r = ln.repl
             if r > top:
-                if r >= top_rrpv:
+                if r >= max_rrpv:
                     return ln
                 best = ln
                 top = r
-        age = top_rrpv - top
+        age = max_rrpv - top
         for ln in lines:
             ln.repl += age
         return best

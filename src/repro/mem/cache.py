@@ -100,9 +100,6 @@ class Cache:
     def tag_of(self, addr: int) -> int:
         return addr >> self._line_shift
 
-    def addr_of(self, tag: int) -> int:
-        return tag << self._line_shift
-
     # -- operations --------------------------------------------------------
 
     def probe(self, addr: int) -> Optional[Line]:
